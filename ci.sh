@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, rustdoc warnings such as broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> v10-lint (determinism & panic-freedom, expanded scan surface)"
 cargo run -q -p v10-lint -- --check
 

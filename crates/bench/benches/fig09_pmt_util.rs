@@ -5,7 +5,7 @@
 
 use v10_bench::pairs::fig9_pairs;
 use v10_bench::{fmt_pct, print_table, run_options};
-use v10_core::run_pmt;
+use v10_core::{run_pmt_observed, NullObserver};
 use v10_npu::NpuConfig;
 
 fn main() {
@@ -13,7 +13,8 @@ fn main() {
     let opts = run_options();
     let mut rows = Vec::new();
     for case in fig9_pairs() {
-        let r = run_pmt(&case.specs, &cfg, &opts).expect("validated pair case");
+        let r = run_pmt_observed(&case.specs, &cfg, &opts, &mut NullObserver)
+            .expect("validated pair case");
         let elapsed = r.elapsed_cycles();
         let w = r.workloads();
         rows.push(vec![

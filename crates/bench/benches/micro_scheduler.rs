@@ -96,7 +96,7 @@ fn bench_engine() {
 /// breach here means emission got accidentally expensive (an allocation or a
 /// syscall on the emit path), not that the counter itself slowed down.
 fn bench_observer_overhead() {
-    use v10_core::{CounterObserver, Policy, V10Engine};
+    use v10_core::{CounterObserver, NullObserver, Policy, V10Engine};
     let specs = pair_specs();
     let opts = RunOptions::new(5).expect("positive requests");
     let engine = V10Engine::new(NpuConfig::table5(), Policy::Priority, true);
@@ -107,7 +107,9 @@ fn bench_observer_overhead() {
     let mut plain = std::time::Duration::MAX;
     let mut counted = std::time::Duration::MAX;
     for _ in 0..9 {
-        plain = plain.min(bench(|| black_box(engine.run(&specs, &opts))));
+        plain = plain.min(bench(|| {
+            black_box(engine.run_observed(&specs, &opts, &mut NullObserver))
+        }));
         counted = counted.min(bench(|| {
             let mut obs = CounterObserver::default();
             black_box(engine.run_observed(&specs, &opts, &mut obs))

@@ -21,7 +21,7 @@ use v10_collocate::{
     build_dataset, ClusteringPipeline, MultiCoreAdmission, OnlinePlacer, PairPerfCache,
     RecoveryPolicy,
 };
-use v10_core::{Design, RunOptions};
+use v10_core::{Design, NullObserver, OverloadController, RunOptions};
 use v10_npu::NpuConfig;
 use v10_sim::{FaultKind, FaultPlan};
 use v10_workloads::{Model, ServingScenario};
@@ -171,12 +171,14 @@ fn run_point(pipeline: &ClusteringPipeline, level: FaultLevel, load_factor: f64)
         .expect("positive request count")
         .with_seed(seed());
     let report = controller
-        .serve_faulted(
+        .serve_stressed_observed(
             Design::V10Full,
             &NpuConfig::table5(),
             &opts,
             scenario.fault_plans(),
             &RecoveryPolicy::default(),
+            &OverloadController::disarmed(),
+            &mut NullObserver,
         )
         .expect("valid faulted serving run");
 

@@ -3,8 +3,8 @@
 //!
 //! A seeded flash-crowd stream is served on a 16×16 mesh fleet (256
 //! cores, 8 HBM-affinity groups) through
-//! [`v10_collocate::FleetPlane::serve_faulted`] at several shard counts
-//! and three fault severities:
+//! [`v10_collocate::FleetPlane::serve_faulted_observed`] at several shard
+//! counts and three fault severities:
 //!
 //! * `disarmed` — an empty [`FleetFaultPlan`]. Gated in-bench to be
 //!   **byte-identical** to the plain [`FleetPlane::serve`] path at every
@@ -43,7 +43,7 @@ use v10_collocate::{
     build_dataset, ClusterServeReport, ClusteringPipeline, FleetOutcome, FleetPlane, OnlinePlacer,
     PairPerfCache, RecoveryPolicy, TopologyWeights,
 };
-use v10_core::{Design, RunOptions};
+use v10_core::{Design, NullObserver, RunOptions};
 use v10_npu::{FleetTopology, NpuConfig};
 use v10_sim::{Cycles, FleetFaultKind, FleetFaultPlan};
 use v10_workloads::{MmppProcess, Model, TimedArrival};
@@ -223,13 +223,14 @@ fn serve_once(
         .expect("positive request count")
         .with_seed(seed());
     make_plane(pipeline, shards, threads)
-        .serve_faulted(
+        .serve_faulted_observed(
             arrivals,
             Design::V10Full,
             &NpuConfig::table5(),
             &opts,
             &severity.plan(),
             &RecoveryPolicy::new(),
+            &mut NullObserver,
         )
         .expect("valid faulted fleet serving run")
 }

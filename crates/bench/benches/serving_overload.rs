@@ -23,7 +23,8 @@ use v10_bench::sweep::parallel_map;
 use v10_bench::timing::{cycles_per_sec, fmt_cycles_per_sec, median_wall};
 use v10_bench::{fmt_pct, print_table, seed};
 use v10_core::{
-    serve_design, serve_design_overloaded, Design, OverloadController, OverloadPolicy, RunOptions,
+    serve_design, serve_design_stressed, Design, FaultPlan, OverloadController, OverloadPolicy,
+    RunOptions,
 };
 use v10_npu::NpuConfig;
 use v10_sim::LatencySummary;
@@ -97,8 +98,15 @@ fn run_point(burst_factor: f64, armed: bool) -> OverloadPoint {
     } else {
         OverloadController::disarmed()
     };
-    let report = serve_design_overloaded(Design::V10Full, &schedule, &cfg, &opts, controller)
-        .expect("valid overloaded serving run");
+    let report = serve_design_stressed(
+        Design::V10Full,
+        &schedule,
+        &cfg,
+        &opts,
+        &FaultPlan::none(),
+        controller,
+    )
+    .expect("valid overloaded serving run");
     if !armed {
         // The disarmed control plane must be a strict no-op: same run, bit
         // for bit, as the plain serving path.
@@ -224,9 +232,16 @@ fn main() {
             } else {
                 OverloadController::disarmed()
             };
-            serve_design_overloaded(Design::V10Full, &schedule, &cfg, &opts, controller)
-                .expect("valid overloaded serving run")
-                .elapsed_cycles()
+            serve_design_stressed(
+                Design::V10Full,
+                &schedule,
+                &cfg,
+                &opts,
+                &FaultPlan::none(),
+                controller,
+            )
+            .expect("valid overloaded serving run")
+            .elapsed_cycles()
         };
         let cycles = run(); // warm, untimed
         let wall = median_wall(3, run);

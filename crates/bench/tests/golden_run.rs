@@ -21,8 +21,8 @@
 
 use v10_bench::sweep::parallel_map_with;
 use v10_core::{
-    run_design, serve_design, serve_design_faulted, Admission, AdmissionSchedule, Design,
-    FaultKind, FaultPlan, RunOptions, RunReport, WorkloadSpec,
+    run_design, serve_design, serve_design_stressed, Admission, AdmissionSchedule, Design,
+    FaultKind, FaultPlan, OverloadController, RunOptions, RunReport, WorkloadSpec,
 };
 use v10_npu::NpuConfig;
 use v10_workloads::{Model, OpenLoopProcess};
@@ -139,8 +139,15 @@ fn run_job(job: &Job) -> Vec<u64> {
                 .expect("non-zero requests")
                 .with_seed(2023);
             digest(
-                &serve_design_faulted(*design, &serving_schedule(), &cfg, &opts, &fault_plan())
-                    .expect("valid faulted run"),
+                &serve_design_stressed(
+                    *design,
+                    &serving_schedule(),
+                    &cfg,
+                    &opts,
+                    &fault_plan(),
+                    OverloadController::disarmed(),
+                )
+                .expect("valid faulted run"),
             )
         }
     }

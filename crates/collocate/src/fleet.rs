@@ -4,28 +4,26 @@
 //!
 //! # Why sharding helps even on one thread
 //!
-//! The flat [`OnlinePlacer`] ranking is an argmax over every core: each
-//! arrival rescans the fleet. The fleet plane decomposes that argmax.
-//! Cores are partitioned into fixed contiguous shards
-//! ([`ShardMap`](v10_sim::ShardMap)); each shard's admission worker keeps a
-//! summary table of its best candidate core per (behavior class, home HBM
-//! group) pair. An admit or release touches exactly one core, so it
-//! invalidates exactly one worker's table; the next placement query rebuilds
-//! only the dirty tables — a rescan of `cores / shards` cores instead of
-//! `cores` — and takes the argmax over the `shards` table entries. Because a
-//! core's score is a pure function of its own occupancy (plus static
-//! topology), and every scan keeps the incumbent on ties, the decomposed
-//! argmax picks the *identical* core the flat scan would: finer sharding
-//! changes the work done, never the answer. The per-arrival placement cost
-//! drops by roughly the shard count, which is where the fleet bench's
-//! wall-clock speedup comes from — no threads required.
+//! The flat [`OnlinePlacer`] ranking is an argmax over every core: each arrival
+//! rescans the fleet. The fleet plane decomposes that argmax. Cores are
+//! partitioned into fixed contiguous shards ([`ShardMap`]); each shard's
+//! admission worker keeps a summary table of its best candidate core per
+//! (behavior class, home HBM group) pair. An admit or release touches exactly
+//! one core, so it invalidates exactly one worker's table; the next placement
+//! query rebuilds only the dirty tables — a rescan of `cores / shards` cores
+//! instead of `cores` — and takes the argmax over the `shards` table entries.
+//! Because a core's score is a pure function of its own occupancy (plus static
+//! topology), and every scan keeps the incumbent on ties, the decomposed argmax
+//! picks the *identical* core the flat scan would: finer sharding changes the
+//! work done, never the answer. The per-arrival placement cost drops by roughly
+//! the shard count, which is where the fleet bench's wall-clock speedup comes
+//! from — no threads required.
 //!
 //! # Determinism across shard and thread counts
 //!
-//! Shards exchange state only at epoch boundaries
-//! ([`EpochClock`](v10_sim::EpochClock)): tenant departures observed in the
-//! cached per-core engine reports are released in simulated-time order
-//! ([`merge_messages`](v10_sim::merge_messages), tie-broken by core index
+//! Shards exchange state only at epoch boundaries ([`EpochClock`]): tenant
+//! departures observed in the cached per-core engine reports are released
+//! in simulated-time order ([`merge_messages`], tie-broken by core index
 //! and interned label), and only departures at or before the boundary are
 //! applied. An arrival strictly after the boundary cannot change engine
 //! events before it, so a departure once applied can never be retracted by
@@ -39,11 +37,11 @@
 //!
 //! # Fleet fault domains
 //!
-//! [`FleetPlane::serve_faulted`] extends the epoch loop with scripted,
-//! epoch-quantized fleet faults ([`FleetFaultPlan`]): each event applies at
-//! the first processed epoch boundary at or after its scripted time, in
-//! compiled order, so the blast radius is a deterministic function of the
-//! plan and the arrival stream alone.
+//! [`FleetPlane::serve_faulted_observed`] extends the epoch loop with scripted,
+//! epoch-quantized fleet faults ([`FleetFaultPlan`]): each event applies at the
+//! first processed epoch boundary at or after its scripted time, in compiled
+//! order, so the blast radius is a deterministic function of the plan and the
+//! arrival stream alone.
 //!
 //! * **Shard crash / restore** ([`FleetFaultKind::ShardCrash`]): the
 //!   shard's admission worker goes dark — its summary table is lost and
@@ -69,8 +67,8 @@
 //!   — partition-tolerant recovery.
 //!
 //! The disarmed plan ([`FleetFaultPlan::none`]) executes zero fault
-//! branches: [`FleetPlane::serve`] *is* `serve_faulted` under the empty
-//! plan, byte-identical to the pre-fault-domain plane.
+//! branches: [`FleetPlane::serve`] *is* `serve_faulted_observed` under the
+//! empty plan, byte-identical to the pre-fault-domain plane.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -509,9 +507,9 @@ impl<'a> FleetPlane<'a> {
     /// The returned report is byte-identical across shard counts and
     /// worker-thread counts; the outcome carries the layout-dependent work
     /// counters. This is exactly
-    /// [`serve_faulted`](Self::serve_faulted) under the empty
-    /// [`FleetFaultPlan`] — the fault path shares every instruction of the
-    /// plain path.
+    /// [`serve_faulted_observed`](Self::serve_faulted_observed) under the
+    /// empty [`FleetFaultPlan`] with no observer — the fault path shares
+    /// every instruction of the plain path.
     ///
     /// # Errors
     ///
@@ -524,13 +522,14 @@ impl<'a> FleetPlane<'a> {
         config: &NpuConfig,
         opts: &RunOptions,
     ) -> V10Result<(ClusterServeReport, FleetOutcome)> {
-        self.serve_faulted(
+        self.serve_faulted_observed(
             arrivals,
             design,
             config,
             opts,
             &FleetFaultPlan::none(),
             &RecoveryPolicy::new(),
+            &mut NullObserver,
         )
     }
 
@@ -539,6 +538,12 @@ impl<'a> FleetPlane<'a> {
     /// epoch, region failures retire whole HBM groups and evacuate their
     /// residents through `policy`'s backoff-and-shed ladder, and link
     /// faults tax or block the evacuation transfers (see the module docs).
+    /// The plane's fault and recovery decisions —
+    /// [`SimEvent::ShardCrashed`], [`SimEvent::ShardRestored`],
+    /// [`SimEvent::RegionFailed`], [`SimEvent::TenantEvacuated`], and
+    /// [`SimEvent::RequestShed`] (with `arrival` indexing
+    /// [`FleetOutcome::decisions`]) — reach `observer` in application
+    /// order.
     ///
     /// The recovery ledger lands in the returned [`ClusterServeReport`]
     /// ([`requeued`](ClusterServeReport::requeued),
@@ -552,36 +557,6 @@ impl<'a> FleetPlane<'a> {
     ///
     /// As [`serve`](Self::serve), plus [`V10Error::InvalidArgument`] when a
     /// plan event targets a shard or HBM group the plane does not have.
-    pub fn serve_faulted(
-        &mut self,
-        arrivals: &[TimedArrival],
-        design: Design,
-        config: &NpuConfig,
-        opts: &RunOptions,
-        plan: &FleetFaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> V10Result<(ClusterServeReport, FleetOutcome)> {
-        self.serve_faulted_observed(
-            arrivals,
-            design,
-            config,
-            opts,
-            plan,
-            policy,
-            &mut NullObserver,
-        )
-    }
-
-    /// [`serve_faulted`](Self::serve_faulted) emitting the plane's fault
-    /// and recovery decisions — [`SimEvent::ShardCrashed`],
-    /// [`SimEvent::ShardRestored`], [`SimEvent::RegionFailed`],
-    /// [`SimEvent::TenantEvacuated`], and [`SimEvent::RequestShed`] (with
-    /// `arrival` indexing [`FleetOutcome::decisions`]) — to `observer` in
-    /// application order.
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
     #[allow(clippy::too_many_arguments)]
     pub fn serve_faulted_observed<O: SimObserver>(
         &mut self,
@@ -797,7 +772,7 @@ impl<'a> FleetPlane<'a> {
             };
             if !ok {
                 return Err(V10Error::invalid(
-                    "FleetPlane::serve_faulted",
+                    "FleetPlane::serve_faulted_observed",
                     format!(
                         "{} at {} targets an out-of-range domain (fleet has {have})",
                         e.kind().label(),
@@ -1392,13 +1367,14 @@ mod tests {
             .serve(&arrivals, Design::V10Full, &cfg, &opts)
             .unwrap();
         let (report, outcome) = plane(&p, 2, 1)
-            .serve_faulted(
+            .serve_faulted_observed(
                 &arrivals,
                 Design::V10Full,
                 &cfg,
                 &opts,
                 &v10_sim::FleetFaultPlan::none(),
                 &RecoveryPolicy::new(),
+                &mut NullObserver,
             )
             .unwrap();
         assert_eq!(report, plain_report);
@@ -1429,13 +1405,14 @@ mod tests {
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
         let (report, outcome) = plane
-            .serve_faulted(
+            .serve_faulted_observed(
                 &stream,
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
                 &RecoveryPolicy::new(),
+                &mut NullObserver,
             )
             .unwrap();
         assert_eq!(outcome.shard_crashes(), &[(0, 0.0)]);
@@ -1463,13 +1440,14 @@ mod tests {
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
         let (report, outcome) = plane
-            .serve_faulted(
+            .serve_faulted_observed(
                 &faulted_arrivals(),
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
                 &policy,
+                &mut NullObserver,
             )
             .unwrap();
         assert_eq!(outcome.regions_failed(), &[(0, 8_000_000.0)]);
@@ -1523,13 +1501,14 @@ mod tests {
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
         let (report, outcome) = plane
-            .serve_faulted(
+            .serve_faulted_observed(
                 &faulted_arrivals(),
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
                 &policy,
+                &mut NullObserver,
             )
             .unwrap();
         // The partition holds until 5e6 + 1e7 = 1.5e7. Backoff attempts
@@ -1570,7 +1549,15 @@ mod tests {
         let arrivals = faulted_arrivals();
         let run = |threads: usize| {
             faulted_plane(&p, 2, threads)
-                .serve_faulted(&arrivals, Design::V10Full, &cfg, &opts, &plan, &policy)
+                .serve_faulted_observed(
+                    &arrivals,
+                    Design::V10Full,
+                    &cfg,
+                    &opts,
+                    &plan,
+                    &policy,
+                    &mut NullObserver,
+                )
                 .unwrap()
         };
         let (base_report, base_outcome) = run(1);
@@ -1592,13 +1579,14 @@ mod tests {
         for shards in [1, 2, 4, 8] {
             for threads in [1, 2, 4] {
                 let (report, outcome) = plane(&p, shards, threads)
-                    .serve_faulted(
+                    .serve_faulted_observed(
                         &arrivals,
                         Design::V10Full,
                         &cfg,
                         &opts,
                         &v10_sim::FleetFaultPlan::none(),
                         &RecoveryPolicy::new(),
+                        &mut NullObserver,
                     )
                     .unwrap();
                 assert_eq!(report, base_report, "{shards} shards, {threads} threads");
@@ -1635,13 +1623,14 @@ mod tests {
         let opts = RunOptions::new(1).unwrap();
         let mut plane = faulted_plane(&p, 2, 1);
         let (report, outcome) = plane
-            .serve_faulted(
+            .serve_faulted_observed(
                 &stream,
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
                 &policy,
+                &mut NullObserver,
             )
             .unwrap();
         assert_eq!(outcome.shard_crashes(), &[(1, 4_000_000.0)]);
@@ -1703,13 +1692,14 @@ mod tests {
             .with_fault(0.0, FleetFaultKind::ShardCrash { shard: 9 })
             .unwrap();
         let err = plane
-            .serve_faulted(
+            .serve_faulted_observed(
                 &faulted_arrivals(),
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
                 &RecoveryPolicy::new(),
+                &mut NullObserver,
             )
             .unwrap_err();
         assert!(err.to_string().contains("out-of-range"), "{err}");
@@ -1717,13 +1707,14 @@ mod tests {
             .with_fault(0.0, FleetFaultKind::RegionFail { hbm_group: 7 })
             .unwrap();
         let err = plane
-            .serve_faulted(
+            .serve_faulted_observed(
                 &faulted_arrivals(),
                 Design::V10Full,
                 &NpuConfig::table5(),
                 &opts,
                 &plan,
                 &RecoveryPolicy::new(),
+                &mut NullObserver,
             )
             .unwrap_err();
         assert!(err.to_string().contains("out-of-range"), "{err}");

@@ -11,10 +11,9 @@
 //! qualifies, the tenant gets an empty core; with no free slot anywhere it
 //! is rejected.
 //!
-//! [`MultiCoreAdmission`] wraps the advisor around a
-//! [`ClusterState`](v10_npu::ClusterState) and compiles the accepted
-//! arrivals into per-core [`AdmissionSchedule`]s that the serving engine
-//! replays (`v10_core::serve_design`).
+//! [`MultiCoreAdmission`] wraps the advisor around a [`ClusterState`] and
+//! compiles the accepted arrivals into per-core [`AdmissionSchedule`]s that
+//! the serving engine replays (`v10_core::serve_design`).
 
 use v10_core::{Admission, AdmissionSchedule, WorkloadSpec};
 use v10_npu::ClusterState;

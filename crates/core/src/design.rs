@@ -5,12 +5,12 @@ use std::fmt;
 use v10_npu::NpuConfig;
 use v10_sim::{FaultPlan, V10Error, V10Result};
 
-use crate::engine::{RunOptions, V10Engine, WorkloadSpec};
+use crate::engine::{closed_loop, RunOptions, V10Engine, WorkloadSpec};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
-use crate::observer::SimObserver;
+use crate::observer::{NullObserver, SimObserver};
 use crate::overload::OverloadController;
-use crate::pmt::{run_pmt, serve_pmt, serve_pmt_faulted_observed};
+use crate::pmt::serve_pmt_faulted_observed;
 use crate::policy::Policy;
 
 /// One of the paper's compared designs.
@@ -48,6 +48,18 @@ impl Design {
             Design::V10Full => "V10-Full",
         }
     }
+
+    /// The V10 engine that implements this design, or `None` for the PMT
+    /// baseline, which runs on its own executor.
+    fn engine(self, config: &NpuConfig) -> Option<V10Engine> {
+        let (policy, preemption) = match self {
+            Design::Pmt => return None,
+            Design::V10Base => (Policy::RoundRobin, false),
+            Design::V10Fair => (Policy::Priority, false),
+            Design::V10Full => (Policy::Priority, true),
+        };
+        Some(V10Engine::new(*config, policy, preemption))
+    }
 }
 
 impl fmt::Display for Design {
@@ -69,17 +81,25 @@ pub fn run_design(
     config: &NpuConfig,
     opts: &RunOptions,
 ) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => run_pmt(specs, config, opts),
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false).run(specs, opts),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false).run(specs, opts),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true).run(specs, opts),
-    }
+    const CONTEXT: &str = "run_design";
+    let (schedule, opts) = closed_loop(CONTEXT, specs, opts)?;
+    serve_design_as(
+        CONTEXT,
+        design,
+        &schedule,
+        config,
+        &opts,
+        &FaultPlan::none(),
+        OverloadController::disarmed(),
+        &mut NullObserver,
+    )
 }
 
 /// Serves an open-loop [`AdmissionSchedule`] on one core under `design`:
 /// tenants are admitted as they arrive (rejected while the context table is
-/// full), complete their request quota, and depart.
+/// full), complete their request quota, and depart. This is
+/// [`serve_design_stressed_observed`] with an empty plan, a disarmed
+/// controller, and no observer.
 ///
 /// # Errors
 ///
@@ -90,145 +110,23 @@ pub fn serve_design(
     config: &NpuConfig,
     opts: &RunOptions,
 ) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => serve_pmt(schedule, config, opts),
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false).serve(schedule, opts),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false).serve(schedule, opts),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true).serve(schedule, opts),
-    }
-}
-
-/// [`serve_design`] under a [`FaultPlan`]: faults are compiled into a
-/// deterministic schedule and injected as the run plays out, with each
-/// design paying its own recovery cost (V10's per-FU checkpoint restore vs
-/// PMT's whole-core 20–40 µs restore). An empty plan is bit-identical to
-/// [`serve_design`].
-///
-/// # Errors
-///
-/// As [`run_design`], plus [`v10_sim::V10Error::InvalidArgument`] if the
-/// plan's stochastic streams expand past the compile-time cap.
-pub fn serve_design_faulted(
-    design: Design,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    plan: &FaultPlan,
-) -> V10Result<RunReport> {
-    serve_design_faulted_observed(
+    serve_design_as(
+        "serve_design",
         design,
         schedule,
         config,
         opts,
-        plan,
-        &mut crate::observer::NullObserver,
+        &FaultPlan::none(),
+        OverloadController::disarmed(),
+        &mut NullObserver,
     )
 }
 
-/// [`serve_design_faulted`] with an observer receiving the event stream,
-/// including the fault and recovery events.
+/// [`serve_design_stressed_observed`] without an observer.
 ///
 /// # Errors
 ///
-/// As [`serve_design_faulted`].
-pub fn serve_design_faulted_observed<O: SimObserver>(
-    design: Design,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    plan: &FaultPlan,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => serve_pmt_faulted_observed(schedule, config, opts, plan, observer),
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false)
-            .serve_faulted_observed(schedule, opts, plan, observer),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false)
-            .serve_faulted_observed(schedule, opts, plan, observer),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true)
-            .serve_faulted_observed(schedule, opts, plan, observer),
-    }
-}
-
-/// [`serve_design`] under an [`OverloadController`]: the armed controller
-/// parks full-table arrivals in an admission queue and walks the
-/// graceful-degradation ladder instead of hard-rejecting load (see
-/// [`V10Engine::serve_overloaded`]). A disarmed controller is bit-identical
-/// to [`serve_design`].
-///
-/// The PMT baseline has no priority mechanism for the ladder or the
-/// watchdog to act on, so `Design::Pmt` with an *armed* controller is
-/// rejected; a disarmed controller degrades to plain [`serve_design`].
-///
-/// # Errors
-///
-/// As [`run_design`], plus [`v10_sim::V10Error::InvalidArgument`] for
-/// `Design::Pmt` with an armed controller.
-pub fn serve_design_overloaded(
-    design: Design,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    controller: OverloadController,
-) -> V10Result<RunReport> {
-    serve_design_overloaded_observed(
-        design,
-        schedule,
-        config,
-        opts,
-        controller,
-        &mut crate::observer::NullObserver,
-    )
-}
-
-/// [`serve_design_overloaded`] with an observer receiving the event stream,
-/// including the overload control-plane events.
-///
-/// # Errors
-///
-/// As [`serve_design_overloaded`].
-pub fn serve_design_overloaded_observed<O: SimObserver>(
-    design: Design,
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    controller: OverloadController,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => {
-            if controller.is_armed() {
-                return Err(V10Error::invalid(
-                    "serve_design_overloaded",
-                    "PMT has no priority mechanism for the degradation ladder; \
-                     arm the controller on a V10 design",
-                ));
-            }
-            serve_pmt_faulted_observed(schedule, config, opts, &FaultPlan::none(), observer)
-        }
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false)
-            .serve_overloaded_observed(schedule, opts, controller, observer),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false)
-            .serve_overloaded_observed(schedule, opts, controller, observer),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true)
-            .serve_overloaded_observed(schedule, opts, controller, observer),
-    }
-}
-
-/// The combined robustness path: [`serve_design_faulted`] and
-/// [`serve_design_overloaded`] in one run — faults inject while the
-/// overload controller senses and degrades. With an empty plan this is
-/// bit-identical to [`serve_design_overloaded`]; with a disarmed
-/// controller, to [`serve_design_faulted`].
-///
-/// As with the overload path, `Design::Pmt` with an *armed* controller is
-/// rejected (no priority mechanism to act on); a disarmed controller
-/// degrades to [`serve_design_faulted`].
-///
-/// # Errors
-///
-/// As [`serve_design_faulted`], plus [`v10_sim::V10Error::InvalidArgument`]
-/// for `Design::Pmt` with an armed controller.
+/// As [`serve_design_stressed_observed`].
 pub fn serve_design_stressed(
     design: Design,
     schedule: &AdmissionSchedule,
@@ -237,23 +135,42 @@ pub fn serve_design_stressed(
     plan: &FaultPlan,
     controller: OverloadController,
 ) -> V10Result<RunReport> {
-    serve_design_stressed_observed(
+    serve_design_as(
+        "serve_design_stressed",
         design,
         schedule,
         config,
         opts,
         plan,
         controller,
-        &mut crate::observer::NullObserver,
+        &mut NullObserver,
     )
 }
 
-/// [`serve_design_stressed`] with an observer receiving the merged event
-/// stream (fault, recovery, and overload control-plane events).
+/// The general single-core entry: serves `schedule` under `design` while
+/// `plan` injects faults and `controller` handles overload, with
+/// `observer` receiving the merged event stream.
+///
+/// * **Faults.** The plan is compiled into a deterministic schedule and
+///   injected as the run plays out, with each design paying its own
+///   recovery cost (V10's per-FU checkpoint restore vs PMT's whole-core
+///   20–40 µs restore). Pass [`FaultPlan::none`] for a fault-free run.
+/// * **Overload.** An armed controller parks full-table arrivals in an
+///   admission queue and walks the graceful-degradation ladder instead of
+///   hard-rejecting load. Pass [`OverloadController::disarmed`] for plain
+///   admission. PMT has no priority mechanism for the ladder or the
+///   watchdog to act on, so `Design::Pmt` with an *armed* controller is
+///   rejected.
+/// * **Observation.** Pass [`NullObserver`] to run unobserved.
+///
+/// An empty plan and a disarmed controller are bit-identical to
+/// [`serve_design`].
 ///
 /// # Errors
 ///
-/// As [`serve_design_stressed`].
+/// As [`run_design`], plus [`v10_sim::V10Error::InvalidArgument`] if the
+/// plan's stochastic streams expand past the compile-time cap, or for
+/// `Design::Pmt` with an armed controller.
 pub fn serve_design_stressed_observed<O: SimObserver>(
     design: Design,
     schedule: &AdmissionSchedule,
@@ -263,23 +180,41 @@ pub fn serve_design_stressed_observed<O: SimObserver>(
     controller: OverloadController,
     observer: &mut O,
 ) -> V10Result<RunReport> {
-    match design {
-        Design::Pmt => {
-            if controller.is_armed() {
-                return Err(V10Error::invalid(
-                    "serve_design_stressed",
-                    "PMT has no priority mechanism for the degradation ladder; \
-                     arm the controller on a V10 design",
-                ));
-            }
-            serve_pmt_faulted_observed(schedule, config, opts, plan, observer)
+    serve_design_as(
+        "serve_design_stressed_observed",
+        design,
+        schedule,
+        config,
+        opts,
+        plan,
+        controller,
+        observer,
+    )
+}
+
+/// Dispatches a serve to the design's executor; `context` names the public
+/// entry that was called, for error messages.
+#[allow(clippy::too_many_arguments)]
+fn serve_design_as<O: SimObserver>(
+    context: &'static str,
+    design: Design,
+    schedule: &AdmissionSchedule,
+    config: &NpuConfig,
+    opts: &RunOptions,
+    plan: &FaultPlan,
+    controller: OverloadController,
+    observer: &mut O,
+) -> V10Result<RunReport> {
+    match design.engine(config) {
+        Some(engine) => {
+            engine.serve_stressed_observed(context, schedule, opts, plan, controller, observer)
         }
-        Design::V10Base => V10Engine::new(*config, Policy::RoundRobin, false)
-            .serve_stressed_observed(schedule, opts, plan, controller, observer),
-        Design::V10Fair => V10Engine::new(*config, Policy::Priority, false)
-            .serve_stressed_observed(schedule, opts, plan, controller, observer),
-        Design::V10Full => V10Engine::new(*config, Policy::Priority, true)
-            .serve_stressed_observed(schedule, opts, plan, controller, observer),
+        None if controller.is_armed() => Err(V10Error::invalid(
+            context,
+            "PMT has no priority mechanism for the degradation ladder; \
+             arm the controller on a V10 design",
+        )),
+        None => serve_pmt_faulted_observed(context, schedule, config, opts, plan, observer),
     }
 }
 
@@ -354,26 +289,59 @@ mod tests {
         let schedule = AdmissionSchedule::closed_loop(&mismatched_pair(), 2).unwrap();
         let cfg = NpuConfig::table5();
         let opts = RunOptions::new(2).unwrap();
-        let err = serve_design_overloaded(
-            Design::Pmt,
-            &schedule,
-            &cfg,
-            &opts,
-            OverloadController::armed(crate::overload::OverloadPolicy::default()),
-        )
-        .unwrap_err();
+        let none = FaultPlan::none();
+        let armed = OverloadController::armed(crate::overload::OverloadPolicy::default());
+        let err =
+            serve_design_stressed(Design::Pmt, &schedule, &cfg, &opts, &none, armed).unwrap_err();
         assert!(err.to_string().contains("PMT"), "{err}");
         // A disarmed controller degrades to plain serving.
         let plain = serve_design(Design::Pmt, &schedule, &cfg, &opts).unwrap();
-        let disarmed = serve_design_overloaded(
+        let disarmed = serve_design_stressed(
             Design::Pmt,
             &schedule,
             &cfg,
             &opts,
+            &none,
             OverloadController::disarmed(),
         )
         .unwrap();
         assert_eq!(plain.elapsed_cycles(), disarmed.elapsed_cycles());
+    }
+
+    #[test]
+    fn armed_pmt_rejection_names_the_entry_that_was_called() {
+        let schedule = AdmissionSchedule::closed_loop(&mismatched_pair(), 2).unwrap();
+        let cfg = NpuConfig::table5();
+        let opts = RunOptions::new(2).unwrap();
+        let armed = || OverloadController::armed(crate::overload::OverloadPolicy::default());
+        let plan = FaultPlan::none();
+        let context = |r: V10Result<RunReport>| match r {
+            Err(V10Error::InvalidArgument { context, .. }) => context,
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        };
+        assert_eq!(
+            context(serve_design_stressed(
+                Design::Pmt,
+                &schedule,
+                &cfg,
+                &opts,
+                &plan,
+                armed()
+            )),
+            "serve_design_stressed"
+        );
+        assert_eq!(
+            context(serve_design_stressed_observed(
+                Design::Pmt,
+                &schedule,
+                &cfg,
+                &opts,
+                &plan,
+                armed(),
+                &mut NullObserver,
+            )),
+            "serve_design_stressed_observed"
+        );
     }
 
     #[test]

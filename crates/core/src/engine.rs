@@ -17,7 +17,7 @@
 //!
 //! The event-loop mechanics — piecewise-constant time advance, busy/overlap
 //! accounting (Fig. 17), HBM byte tracking — live in the shared
-//! [`EngineCore`](crate::engine_core::EngineCore); this module contributes
+//! `EngineCore`; this module contributes
 //! only the V10 scheduling strategy: fetch promotion through the context
 //! table, policy-driven issue, and the preemption timer.
 
@@ -30,9 +30,8 @@ use v10_sim::{Cycles, FaultInjector, FaultKind, FaultPlan, V10Error, V10Result};
 use crate::engine_core::{drive, rate_of, EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
-use crate::observer::{NullObserver, SimEvent, SimObserver};
+use crate::observer::{SimEvent, SimObserver};
 use crate::overload::{LadderStep, OverloadController, OverloadPressure};
-use crate::packed::FIG11_TABLE_ROWS;
 use crate::policy::{Policy, Scheduler};
 
 /// One workload to collocate: its trace, label, and relative priority.
@@ -124,8 +123,8 @@ impl RunOptions {
     }
 
     /// Sets the context-table slot capacity for open-loop serving. Unset,
-    /// serving uses [`FIG11_TABLE_ROWS`] and closed-loop runs size the
-    /// table to the workload set.
+    /// serving uses [`FIG11_TABLE_ROWS`](crate::FIG11_TABLE_ROWS) and
+    /// closed-loop runs size the table to the workload set.
     ///
     /// # Errors
     ///
@@ -213,44 +212,29 @@ impl V10Engine {
     }
 
     /// Runs `specs` collocated on one core until each completes
-    /// `opts.requests_per_workload()` requests.
+    /// `opts.requests_per_workload()` requests, with an observer receiving
+    /// the engine's event stream — see [`SimObserver`]. With
+    /// [`NullObserver`](crate::NullObserver) this monomorphizes to the
+    /// unobserved engine.
     ///
     /// # Errors
     ///
     /// Returns [`V10Error::InvalidArgument`] if `specs` is empty, and
     /// [`V10Error::Deadlock`] / [`V10Error::Livelock`] if the simulation
     /// stops making progress.
-    pub fn run(&self, specs: &[WorkloadSpec], opts: &RunOptions) -> V10Result<RunReport> {
-        self.run_observed(specs, opts, &mut NullObserver)
-    }
-
-    /// [`run`](Self::run) with an observer receiving the engine's event
-    /// stream — see [`SimObserver`]. With [`NullObserver`] this
-    /// monomorphizes to the unobserved engine.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
     pub fn run_observed<O: SimObserver>(
         &self,
         specs: &[WorkloadSpec],
         opts: &RunOptions,
         observer: &mut O,
     ) -> V10Result<RunReport> {
-        if specs.is_empty() {
-            return Err(V10Error::invalid(
-                "V10Engine::run",
-                "need at least one workload",
-            ));
-        }
-        let schedule = AdmissionSchedule::closed_loop(specs, opts.requests_per_workload())?;
-        // The table is sized to the workload set, so slot indices match the
-        // historical dense workload numbering.
-        self.serve_with_capacity(
-            "V10Engine::run",
+        const CONTEXT: &str = "V10Engine::run_observed";
+        let (schedule, opts) = closed_loop(CONTEXT, specs, opts)?;
+        self.serve_stressed_observed(
+            CONTEXT,
             &schedule,
-            specs.len(),
-            FaultInjector::disarmed(),
+            &opts,
+            &FaultPlan::none(),
             OverloadController::disarmed(),
             observer,
         )
@@ -259,195 +243,58 @@ impl V10Engine {
     /// Serves an open-loop [`AdmissionSchedule`]: tenants are admitted when
     /// they arrive (rejected if the context table is full), run their
     /// request quota, and depart, freeing their slot for later arrivals.
+    /// The observer receives the event stream, including the tenancy events
+    /// [`SimEvent::TenantAdmitted`], [`SimEvent::TenantRetired`], and
+    /// [`SimEvent::AdmissionRejected`].
     ///
     /// The table holds `opts.table_capacity()` slots, defaulting to
-    /// [`FIG11_TABLE_ROWS`].
+    /// [`FIG11_TABLE_ROWS`](crate::FIG11_TABLE_ROWS). Faults and overload
+    /// control go through [`crate::serve_design_stressed_observed`].
     ///
     /// # Errors
     ///
-    /// As [`run`](Self::run).
-    pub fn serve(&self, schedule: &AdmissionSchedule, opts: &RunOptions) -> V10Result<RunReport> {
-        self.serve_observed(schedule, opts, &mut NullObserver)
-    }
-
-    /// [`serve`](Self::serve) with an observer receiving the event stream,
-    /// including the tenancy events [`SimEvent::TenantAdmitted`],
-    /// [`SimEvent::TenantRetired`], and [`SimEvent::AdmissionRejected`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
+    /// As [`run_observed`](Self::run_observed).
     pub fn serve_observed<O: SimObserver>(
         &self,
         schedule: &AdmissionSchedule,
         opts: &RunOptions,
         observer: &mut O,
     ) -> V10Result<RunReport> {
-        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-        self.serve_with_capacity(
-            "V10Engine::serve",
+        self.serve_stressed_observed(
+            "V10Engine::serve_observed",
             schedule,
-            capacity,
-            FaultInjector::disarmed(),
+            opts,
+            &FaultPlan::none(),
             OverloadController::disarmed(),
             observer,
         )
     }
 
-    /// [`serve`](Self::serve) under an [`OverloadController`]: when the
-    /// controller is armed, arrivals that find the context table full wait
-    /// in an admission queue instead of being rejected, and the controller
-    /// senses pressure on its cadence, walking the graceful-degradation
-    /// ladder (priority demotion, slice shrink, quota trim, deadline shed)
-    /// while its starvation watchdog boosts tenants pinned below the
-    /// `active_rate_p` bound. A disarmed controller is bit-identical to
-    /// [`serve`](Self::serve).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn serve_overloaded(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        controller: OverloadController,
-    ) -> V10Result<RunReport> {
-        self.serve_overloaded_observed(schedule, opts, controller, &mut NullObserver)
-    }
-
-    /// [`serve_overloaded`](Self::serve_overloaded) with an observer
-    /// receiving the event stream, including the control-plane events
-    /// [`SimEvent::OverloadEntered`], [`SimEvent::DegradationApplied`],
-    /// [`SimEvent::OverloadCleared`], [`SimEvent::RequestShed`],
-    /// [`SimEvent::TenantStarved`], and [`SimEvent::WatchdogBoost`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn serve_overloaded_observed<O: SimObserver>(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        controller: OverloadController,
-        observer: &mut O,
-    ) -> V10Result<RunReport> {
-        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-        self.serve_with_capacity(
-            "V10Engine::serve_overloaded",
-            schedule,
-            capacity,
-            FaultInjector::disarmed(),
-            controller,
-            observer,
-        )
-    }
-
-    /// [`serve`](Self::serve) under a [`FaultPlan`]: the plan is compiled
-    /// into a deterministic fault schedule and injected as the run plays
-    /// out. Transient operator faults replay the victim from its input
-    /// checkpoint at the design's context-switch cost; a core stall freezes
-    /// every FU for its duration; a permanent core fault retires the core
-    /// ([`RunReport::core_retired_at`] records when). An empty plan is
-    /// bit-identical to [`serve`](Self::serve).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run), plus [`V10Error::InvalidArgument`] if the
-    /// plan's stochastic streams expand past the compile-time cap.
-    pub fn serve_faulted(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        plan: &FaultPlan,
-    ) -> V10Result<RunReport> {
-        self.serve_faulted_observed(schedule, opts, plan, &mut NullObserver)
-    }
-
-    /// [`serve_faulted`](Self::serve_faulted) with an observer receiving
-    /// the event stream, including [`SimEvent::FaultInjected`],
-    /// [`SimEvent::OpReplayed`], and [`SimEvent::CoreRetired`].
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
-    pub fn serve_faulted_observed<O: SimObserver>(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        plan: &FaultPlan,
-        observer: &mut O,
-    ) -> V10Result<RunReport> {
-        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-        let faults = FaultInjector::compile(plan)?;
-        self.serve_with_capacity(
-            "V10Engine::serve_faulted",
-            schedule,
-            capacity,
-            faults,
-            OverloadController::disarmed(),
-            observer,
-        )
-    }
-
-    /// The combined path: [`serve_faulted`](Self::serve_faulted) and
-    /// [`serve_overloaded`](Self::serve_overloaded) in one run — the fault
-    /// plan is compiled and injected while the overload controller senses,
-    /// degrades, and watches for starvation. With an empty plan this is
-    /// bit-identical to [`serve_overloaded`](Self::serve_overloaded); with
-    /// a disarmed controller, to [`serve_faulted`](Self::serve_faulted).
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
-    pub fn serve_stressed(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        plan: &FaultPlan,
-        controller: OverloadController,
-    ) -> V10Result<RunReport> {
-        self.serve_stressed_observed(schedule, opts, plan, controller, &mut NullObserver)
-    }
-
-    /// [`serve_stressed`](Self::serve_stressed) with an observer receiving
-    /// the merged event stream (fault events and control-plane events).
-    ///
-    /// # Errors
-    ///
-    /// As [`serve_faulted`](Self::serve_faulted).
-    pub fn serve_stressed_observed<O: SimObserver>(
-        &self,
-        schedule: &AdmissionSchedule,
-        opts: &RunOptions,
-        plan: &FaultPlan,
-        controller: OverloadController,
-        observer: &mut O,
-    ) -> V10Result<RunReport> {
-        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-        let faults = FaultInjector::compile(plan)?;
-        self.serve_with_capacity(
-            "V10Engine::serve_stressed",
-            schedule,
-            capacity,
-            faults,
-            controller,
-            observer,
-        )
-    }
-
-    fn serve_with_capacity<O: SimObserver>(
+    /// The single V10 serving body. The fault plan is compiled into a
+    /// deterministic schedule and injected as the run plays out: transient
+    /// operator faults replay the victim from its input checkpoint at the
+    /// design's context-switch cost, a core stall freezes every FU for its
+    /// duration, and a permanent core fault retires the core
+    /// ([`RunReport::core_retired_at`] records when). An armed `controller`
+    /// parks full-table arrivals in an admission queue instead of rejecting
+    /// them and walks the graceful-degradation ladder while its starvation
+    /// watchdog boosts tenants pinned below the `active_rate_p` bound. An
+    /// empty plan and a disarmed controller leave the run bit-identical to
+    /// plain serving. `context` names the public entry for error messages.
+    pub(crate) fn serve_stressed_observed<O: SimObserver>(
         &self,
         context: &'static str,
         schedule: &AdmissionSchedule,
-        capacity: usize,
-        faults: FaultInjector,
+        opts: &RunOptions,
+        plan: &FaultPlan,
         controller: OverloadController,
         observer: &mut O,
     ) -> V10Result<RunReport> {
+        let faults = FaultInjector::compile(plan)?;
         let cfg = &self.config;
         let pool = FuPool::new(cfg.fu_count() as usize)?;
         let slots = pool.iter().map(|id| Slot::new(id, pool.kind(id))).collect();
-        let mut core = EngineCore::new(context, schedule, cfg, capacity, slots, faults, observer)?;
+        let mut core = EngineCore::new(context, schedule, cfg, opts, slots, faults, observer)?;
         if controller.is_armed() {
             core.enable_overload_queueing();
         }
@@ -456,6 +303,21 @@ impl V10Engine {
         report.set_overload_stats(strategy.controller.stats());
         Ok(report)
     }
+}
+
+/// A closed-loop run expressed as a serve: every spec resident from cycle 0
+/// with the full request quota, and the table sized to the workload set so
+/// slot indices match the dense workload numbering.
+pub(crate) fn closed_loop(
+    context: &'static str,
+    specs: &[WorkloadSpec],
+    opts: &RunOptions,
+) -> V10Result<(AdmissionSchedule, RunOptions)> {
+    if specs.is_empty() {
+        return Err(V10Error::invalid(context, "need at least one workload"));
+    }
+    let schedule = AdmissionSchedule::closed_loop(specs, opts.requests_per_workload())?;
+    Ok((schedule, opts.with_table_capacity(specs.len())?))
 }
 
 /// The V10 operator-granularity scheduling strategy (§3.2–§3.3).
@@ -1034,7 +896,7 @@ impl ExecutorStrategy for V10Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::CounterObserver;
+    use crate::observer::{CounterObserver, NullObserver};
     use v10_isa::OpDesc;
 
     fn sa(cycles: u64) -> OpDesc {
@@ -1055,9 +917,10 @@ mod tests {
     fn single_workload_runs_sequentially() {
         let e = engine(Policy::Priority, false);
         let r = e
-            .run(
+            .run_observed(
                 &[spec("w", vec![sa(1_000), vu(500)])],
                 &RunOptions::new(4).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         let wl = &r.workloads()[0];
@@ -1077,12 +940,13 @@ mod tests {
     fn complementary_workloads_overlap() {
         let e = engine(Policy::Priority, false);
         let r = e
-            .run(
+            .run_observed(
                 &[
                     spec("sa-heavy", vec![sa(10_000), vu(100)]),
                     spec("vu-heavy", vec![sa(100), vu(10_000)]),
                 ],
                 &RunOptions::new(10).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         // The SA-heavy workload's matmuls run while the VU-heavy workload's
@@ -1100,9 +964,10 @@ mod tests {
     fn same_kind_workloads_serialize_on_one_fu() {
         let e = engine(Policy::Priority, false);
         let r = e
-            .run(
+            .run_observed(
                 &[spec("a", vec![sa(1_000)]), spec("b", vec![sa(1_000)])],
                 &RunOptions::new(5).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         // Only one SA: total elapsed at least the serialized work.
@@ -1117,9 +982,10 @@ mod tests {
         // (modulo DMA-ready gaps), so sa_only + vu_only ~= elapsed.
         let e = engine(Policy::RoundRobin, false);
         let r = e
-            .run(
+            .run_observed(
                 &[spec("w", vec![sa(5_000), vu(5_000)])],
                 &RunOptions::new(5).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         let covered = r.overlap().sa_only + r.overlap().vu_only;
@@ -1137,10 +1003,10 @@ mod tests {
         );
         let opts = RunOptions::new(8).unwrap();
         let fair = engine(Policy::Priority, false)
-            .run(&[w1.clone(), w2.clone()], &opts)
+            .run_observed(&[w1.clone(), w2.clone()], &opts, &mut NullObserver)
             .unwrap();
         let full = engine(Policy::Priority, true)
-            .run(&[w1, w2], &opts)
+            .run_observed(&[w1, w2], &opts, &mut NullObserver)
             .unwrap();
         let lat_fair = fair.workloads()[1].avg_latency_cycles();
         let lat_full = full.workloads()[1].avg_latency_cycles();
@@ -1157,7 +1023,7 @@ mod tests {
         let w1 = spec("long-sa", vec![sa(700_000)]);
         let w2 = spec("short-sa", vec![sa(7_000)]);
         let full = engine(Policy::Priority, true)
-            .run(&[w1, w2], &RunOptions::new(5).unwrap())
+            .run_observed(&[w1, w2], &RunOptions::new(5).unwrap(), &mut NullObserver)
             .unwrap();
         assert!(full.switch_overhead_cycles() > 0.0);
         let preempted = &full.workloads()[0];
@@ -1170,7 +1036,11 @@ mod tests {
     fn priorities_shift_active_share() {
         let mk = |p: f64| spec("w", vec![sa(10_000)]).with_priority(p).unwrap();
         let r = engine(Policy::Priority, true)
-            .run(&[mk(9.0), mk(1.0)], &RunOptions::new(20).unwrap())
+            .run_observed(
+                &[mk(9.0), mk(1.0)],
+                &RunOptions::new(20).unwrap(),
+                &mut NullObserver,
+            )
             .unwrap();
         let hi = &r.workloads()[0];
         let lo = &r.workloads()[1];
@@ -1189,9 +1059,10 @@ mod tests {
         let cfg = NpuConfig::builder().fu_count(2).build().unwrap();
         let e = V10Engine::new(cfg, Policy::Priority, false);
         let r = e
-            .run(
+            .run_observed(
                 &[spec("a", vec![sa(10_000)]), spec("b", vec![sa(10_000)])],
                 &RunOptions::new(5).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
         // Two SAs: the workloads truly run concurrently.
@@ -1219,7 +1090,7 @@ mod tests {
                 .build()],
         );
         let r = engine(Policy::Priority, false)
-            .run(&[a, b], &RunOptions::new(3).unwrap())
+            .run_observed(&[a, b], &RunOptions::new(3).unwrap(), &mut NullObserver)
             .unwrap();
         // 1.6x demand vs 1.0 capacity: ops stretch by ~1.6x.
         let lat = r.workloads()[0].avg_latency_cycles();
@@ -1238,8 +1109,12 @@ mod tests {
             spec("b", vec![sa(500), vu(4_000)]),
         ];
         let opts = RunOptions::new(7).unwrap();
-        let r1 = engine(Policy::Priority, true).run(&specs, &opts).unwrap();
-        let r2 = engine(Policy::Priority, true).run(&specs, &opts).unwrap();
+        let r1 = engine(Policy::Priority, true)
+            .run_observed(&specs, &opts, &mut NullObserver)
+            .unwrap();
+        let r2 = engine(Policy::Priority, true)
+            .run_observed(&specs, &opts, &mut NullObserver)
+            .unwrap();
         assert_eq!(r1.elapsed_cycles(), r2.elapsed_cycles());
         assert_eq!(
             r1.workloads()[0].avg_latency_cycles(),
@@ -1254,7 +1129,7 @@ mod tests {
             spec("b", vec![sa(500), vu(4_000)]),
         ];
         let r = engine(Policy::Priority, true)
-            .run(&specs, &RunOptions::new(5).unwrap())
+            .run_observed(&specs, &RunOptions::new(5).unwrap(), &mut NullObserver)
             .unwrap();
         let wl_busy: f64 = r
             .workloads()
@@ -1271,7 +1146,7 @@ mod tests {
     #[test]
     fn empty_specs_rejected() {
         let err = engine(Policy::Priority, false)
-            .run(&[], &RunOptions::new(1).unwrap())
+            .run_observed(&[], &RunOptions::new(1).unwrap(), &mut NullObserver)
             .unwrap_err();
         assert!(err.to_string().contains("at least one workload"), "{err}");
     }
@@ -1315,7 +1190,7 @@ mod tests {
         ];
         let opts = RunOptions::new(5).unwrap();
         let e = engine(Policy::Priority, true);
-        let plain = e.run(&specs, &opts).unwrap();
+        let plain = e.run_observed(&specs, &opts, &mut NullObserver).unwrap();
         let mut counters = CounterObserver::new();
         let observed = e.run_observed(&specs, &opts, &mut counters).unwrap();
         // Observation must not perturb the simulation.
@@ -1360,6 +1235,7 @@ mod tests {
 #[cfg(test)]
 mod seeded_tests {
     use super::*;
+    use crate::observer::NullObserver;
     use v10_isa::OpDesc;
     use v10_sim::SimRng;
 
@@ -1409,7 +1285,9 @@ mod seeded_tests {
                     WorkloadSpec::new("b", t2.clone()),
                 ];
                 let engine = V10Engine::new(NpuConfig::table5(), policy, preemption);
-                let r = engine.run(&specs, &RunOptions::new(3).unwrap()).unwrap();
+                let r = engine
+                    .run_observed(&specs, &RunOptions::new(3).unwrap(), &mut NullObserver)
+                    .unwrap();
 
                 // All requests completed.
                 for wl in r.workloads() {
@@ -1460,12 +1338,13 @@ mod seeded_tests {
             for policy in [Policy::RoundRobin, Policy::Priority] {
                 let engine = V10Engine::new(NpuConfig::table5(), policy, false);
                 let r = engine
-                    .run(
+                    .run_observed(
                         &[
                             WorkloadSpec::new("a", t1.clone()),
                             WorkloadSpec::new("b", t2.clone()),
                         ],
                         &RunOptions::new(2).unwrap(),
+                        &mut NullObserver,
                     )
                     .unwrap();
                 for wl in r.workloads() {
@@ -1488,11 +1367,11 @@ mod seeded_tests {
             ];
             let opts = RunOptions::new(2).unwrap();
             let small = V10Engine::new(NpuConfig::table5(), Policy::Priority, false)
-                .run(&specs, &opts)
+                .run_observed(&specs, &opts, &mut NullObserver)
                 .unwrap();
             let big_cfg = NpuConfig::builder().fu_count(2).build().unwrap();
             let big = V10Engine::new(big_cfg, Policy::Priority, false)
-                .run(&specs, &opts)
+                .run_observed(&specs, &opts, &mut NullObserver)
                 .unwrap();
             assert!(big.elapsed_cycles() <= small.elapsed_cycles() * 1.01 + 1.0);
         }
@@ -1503,7 +1382,7 @@ mod seeded_tests {
 mod fault_tests {
     use super::*;
     use crate::lifecycle::Admission;
-    use crate::observer::CounterObserver;
+    use crate::observer::{CounterObserver, NullObserver};
     use v10_isa::OpDesc;
     use v10_sim::FaultPlan;
 
@@ -1528,6 +1407,24 @@ mod fault_tests {
         .unwrap()
     }
 
+    /// The fault-only path through the general design entry.
+    fn serve_with_plan<O: SimObserver>(
+        opts: &RunOptions,
+        plan: &FaultPlan,
+        observer: &mut O,
+    ) -> RunReport {
+        crate::serve_design_stressed_observed(
+            crate::Design::V10Full,
+            &schedule(),
+            &NpuConfig::table5(),
+            opts,
+            plan,
+            OverloadController::disarmed(),
+            observer,
+        )
+        .unwrap()
+    }
+
     fn digest(r: &RunReport) -> Vec<u64> {
         let mut d = vec![
             r.elapsed_cycles().to_bits(),
@@ -1548,13 +1445,12 @@ mod fault_tests {
 
     #[test]
     fn zero_fault_plan_is_bit_identical_to_serve() {
-        let e = engine();
         let opts = RunOptions::new(3).unwrap();
-        let plain = e.serve(&schedule(), &opts).unwrap();
-        let mut counters = CounterObserver::new();
-        let faulted = e
-            .serve_faulted_observed(&schedule(), &opts, &FaultPlan::none(), &mut counters)
+        let plain = engine()
+            .serve_observed(&schedule(), &opts, &mut NullObserver)
             .unwrap();
+        let mut counters = CounterObserver::new();
+        let faulted = serve_with_plan(&opts, &FaultPlan::none(), &mut counters);
         assert_eq!(digest(&plain), digest(&faulted));
         assert_eq!(counters.fault_injected(), 0);
         assert_eq!(counters.op_replayed(), 0);
@@ -1565,17 +1461,16 @@ mod fault_tests {
 
     #[test]
     fn transient_fault_replays_the_in_flight_operator() {
-        let e = engine();
         let opts = RunOptions::new(3).unwrap();
-        let plain = e.serve(&schedule(), &opts).unwrap();
+        let plain = engine()
+            .serve_observed(&schedule(), &opts, &mut NullObserver)
+            .unwrap();
         // Workload "a"'s first 1M-cycle SA op is in flight at t=200k.
         let plan = FaultPlan::none()
             .with_fault(200_000.0, FaultKind::TransientOp { victim_salt: 0 })
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted = e
-            .serve_faulted_observed(&schedule(), &opts, &plan, &mut counters)
-            .unwrap();
+        let faulted = serve_with_plan(&opts, &plan, &mut counters);
         assert_eq!(counters.fault_injected(), 1);
         assert_eq!(counters.op_replayed(), 1);
         assert_eq!(faulted.faults_injected(), 1);
@@ -1597,9 +1492,10 @@ mod fault_tests {
 
     #[test]
     fn core_stall_delays_without_losing_work() {
-        let e = engine();
         let opts = RunOptions::new(3).unwrap();
-        let plain = e.serve(&schedule(), &opts).unwrap();
+        let plain = engine()
+            .serve_observed(&schedule(), &opts, &mut NullObserver)
+            .unwrap();
         let stall = 250_000.0;
         let plan = FaultPlan::none()
             .with_fault(
@@ -1610,9 +1506,7 @@ mod fault_tests {
             )
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted = e
-            .serve_faulted_observed(&schedule(), &opts, &plan, &mut counters)
-            .unwrap();
+        let faulted = serve_with_plan(&opts, &plan, &mut counters);
         assert_eq!(counters.fault_injected(), 1);
         assert_eq!(counters.op_replayed(), 0, "a stall corrupts nothing");
         let done: usize = faulted
@@ -1628,16 +1522,13 @@ mod fault_tests {
 
     #[test]
     fn core_retire_drains_and_rejects_the_rest() {
-        let e = engine();
         let opts = RunOptions::new(3).unwrap();
         // Retire before workload "b" even arrives.
         let plan = FaultPlan::none()
             .with_fault(20_000.0, FaultKind::CoreRetire)
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted = e
-            .serve_faulted_observed(&schedule(), &opts, &plan, &mut counters)
-            .unwrap();
+        let faulted = serve_with_plan(&opts, &plan, &mut counters);
         assert_eq!(counters.core_retired(), 1);
         assert_eq!(faulted.core_retired_at(), Some(20_000.0));
         // The pending arrival was turned away at the retirement instant.
@@ -1655,7 +1546,6 @@ mod fault_tests {
 
     #[test]
     fn faulted_runs_are_deterministic() {
-        let e = engine();
         let opts = RunOptions::new(3).unwrap();
         let plan = FaultPlan::none()
             .with_poisson_transients(0xFA17, 150_000.0, 2_000_000.0)
@@ -1667,8 +1557,8 @@ mod fault_tests {
                 },
             )
             .unwrap();
-        let a = e.serve_faulted(&schedule(), &opts, &plan).unwrap();
-        let b = e.serve_faulted(&schedule(), &opts, &plan).unwrap();
+        let a = serve_with_plan(&opts, &plan, &mut NullObserver);
+        let b = serve_with_plan(&opts, &plan, &mut NullObserver);
         assert_eq!(digest(&a), digest(&b));
         assert!(a.faults_injected() > 0, "the plan should actually fire");
     }

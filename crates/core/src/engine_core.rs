@@ -1,7 +1,7 @@
 //! The shared event-loop core behind every executor.
 //!
 //! Both the operator-granularity V10 engine ([`crate::engine::V10Engine`])
-//! and the task-granularity PMT baseline ([`crate::pmt::run_pmt`]) are
+//! and the task-granularity PMT baseline ([`crate::pmt::run_pmt_observed`]) are
 //! piecewise-constant event simulations: between events nothing changes, so
 //! the clock jumps straight to the next operator completion, DMA-ready
 //! instant, context-switch end, timer tick, or tenant arrival.
@@ -30,9 +30,11 @@ use v10_sim::{
 };
 
 use crate::context::{ContextTable, WorkloadId};
+use crate::engine::RunOptions;
 use crate::lifecycle::{Admission, AdmissionSchedule};
 use crate::metrics::{OverlapBreakdown, RunReport, WorkloadReport};
 use crate::observer::{SimEvent, SimObserver};
+use crate::packed::FIG11_TABLE_ROWS;
 
 /// Time-comparison slack: two instants closer than this are simultaneous.
 ///
@@ -270,24 +272,26 @@ pub(crate) struct EngineCore<'a, O: SimObserver> {
 }
 
 impl<'a, O: SimObserver> EngineCore<'a, O> {
-    /// Builds a core at cycle 0 with an empty table of `capacity` slots and
-    /// the whole `schedule` pending. The strategy's first
+    /// Builds a core at cycle 0 with an empty table of
+    /// `opts.table_capacity()` slots (default [`FIG11_TABLE_ROWS`]) and the
+    /// whole `schedule` pending. The strategy's first
     /// [`admit_due`](Self::admit_due) call seats the cycle-0 arrivals.
     ///
     /// `context` names the public entry point for error messages.
     ///
     /// # Errors
     ///
-    /// Returns [`V10Error::InvalidArgument`] if `capacity` is zero.
+    /// Returns [`V10Error::InvalidArgument`] if the capacity is zero.
     pub(crate) fn new(
         context: &'static str,
         schedule: &AdmissionSchedule,
         config: &NpuConfig,
-        capacity: usize,
+        opts: &RunOptions,
         slots: Vec<Slot>,
         faults: FaultInjector,
         observer: &'a mut O,
     ) -> V10Result<Self> {
+        let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
         if capacity == 0 {
             return Err(V10Error::invalid(
                 context,

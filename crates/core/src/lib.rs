@@ -16,13 +16,15 @@
 //!   arbitration, instruction-prefetch Ready tracking, and the
 //!   preemption-timer mechanism of §3.3.
 //! * [`pmt`] — the baselines: PREMA-style preemptive multi-tasking
-//!   ([`run_pmt`], task-level time sharing with 20–40 µs context switches)
+//!   ([`run_pmt_observed`], task-level time sharing with 20–40 µs context
+//!   switches)
 //!   and single-tenant execution ([`run_single_tenant`]).
 //! * [`design`] — the four evaluated designs ([`Design`]): `PMT`,
-//!   `V10-Base`, `V10-Fair`, `V10-Full` (§5.1), behind one entry point
-//!   ([`run_design`]; [`serve_design`] for open-loop schedules;
-//!   [`serve_design_faulted`] for runs under a deterministic
-//!   [`FaultPlan`] with checkpoint-replay recovery).
+//!   `V10-Base`, `V10-Fair`, `V10-Full` (§5.1): [`run_design`] for
+//!   closed-loop runs, [`serve_design`] for open-loop schedules, and the
+//!   general entry [`serve_design_stressed_observed`] for serving under a
+//!   deterministic [`FaultPlan`] with checkpoint-replay recovery, an
+//!   [`OverloadController`], and an observer.
 //! * [`lifecycle`] — dynamic tenancy ([`Admission`],
 //!   [`AdmissionSchedule`]): open-loop tenant arrival/departure serving,
 //!   with the classic fixed-set runs as an admit-all-at-cycle-0 wrapper.
@@ -36,7 +38,7 @@
 //!   ([`OverloadController`]): queue-on-full admission, a hysteresis-guarded
 //!   graceful-degradation ladder (priority demotion → slice shrink → quota
 //!   trim → deadline shed), and a starvation watchdog, all bit-identical to
-//!   plain serving when disarmed ([`serve_design_overloaded`]).
+//!   plain serving when disarmed ([`serve_design_stressed`]).
 //! * [`audit`] — online invariant auditing ([`RuntimeAuditor`]): a
 //!   [`SimObserver`] that checks clock monotonicity, tenancy lifecycle, and
 //!   conservation (admitted = completed + rejected + shed) during the run
@@ -116,9 +118,7 @@ pub mod policy;
 pub use audit::{FleetConservation, RuntimeAuditor};
 pub use context::{ContextTable, WorkloadId};
 pub use design::{
-    run_design, serve_design, serve_design_faulted, serve_design_faulted_observed,
-    serve_design_overloaded, serve_design_overloaded_observed, serve_design_stressed,
-    serve_design_stressed_observed, Design,
+    run_design, serve_design, serve_design_stressed, serve_design_stressed_observed, Design,
 };
 pub use engine::{RunOptions, V10Engine, WorkloadSpec};
 pub use harness::{PropertyHarness, ShrinkKnobs, ShrinkReport, ShrinkStep};
@@ -133,9 +133,6 @@ pub use overload::{
 pub use packed::{
     pack_row, parse_table_image, snapshot_table, unpack_row, PackedRowFields, FIG11_TABLE_ROWS,
 };
-pub use pmt::{
-    run_pmt, run_pmt_observed, run_single_tenant, serve_pmt, serve_pmt_faulted,
-    serve_pmt_faulted_observed, serve_pmt_observed,
-};
+pub use pmt::{run_pmt_observed, run_single_tenant};
 pub use policy::{Policy, Scheduler};
 pub use v10_sim::{FaultEvent, FaultInjector, FaultKind, FaultPlan, V10Error, V10Result};

@@ -335,8 +335,8 @@ impl RunReport {
     }
 
     /// The overload control plane's action counters for this run. All zero
-    /// unless the run went through an armed
-    /// [`serve_overloaded`](crate::V10Engine::serve_overloaded).
+    /// unless the run was served under an armed controller
+    /// ([`serve_design_stressed_observed`](crate::serve_design_stressed_observed)).
     #[must_use]
     pub fn overload_stats(&self) -> &OverloadStats {
         &self.overload

@@ -29,7 +29,8 @@
 //!
 //! A **disarmed** controller is free: it exposes no event horizon, touches
 //! no state, and leaves the serving path bit-identical to
-//! [`V10Engine::serve`](crate::V10Engine::serve) — the same pattern as
+//! [`V10Engine::serve_observed`](crate::V10Engine::serve_observed) — the
+//! same pattern as
 //! [`FaultInjector::disarmed`](v10_sim::FaultInjector::disarmed).
 //!
 //! [`SimEvent::RequestShed`]: crate::SimEvent::RequestShed

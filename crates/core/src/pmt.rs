@@ -14,166 +14,69 @@
 //! **Single-tenant** execution is PMT with one workload and no switches —
 //! the normalization baseline for forward progress / STP.
 //!
-//! The event-loop mechanics live in the shared
-//! [`EngineCore`](crate::engine_core::EngineCore); this module contributes
-//! only PMT's task-level ownership rotation, modeled as a single
-//! whole-core occupancy slot.
+//! The event-loop mechanics live in the shared `EngineCore`; this module
+//! contributes only PMT's task-level ownership rotation, modeled as a
+//! single whole-core occupancy slot.
 
 use v10_npu::{FuPool, NpuConfig};
 use v10_sim::{
     FaultInjector, FaultKind, FaultPlan, Frequency, Micros, SimRng, V10Error, V10Result,
 };
 
-use crate::engine::{RunOptions, WorkloadSpec};
+use crate::engine::{closed_loop, RunOptions, WorkloadSpec};
 use crate::engine_core::{drive, EngineCore, ExecutorStrategy, Slot, StepOutcome, EPS};
 use crate::lifecycle::AdmissionSchedule;
 use crate::metrics::RunReport;
 use crate::observer::{NullObserver, SimEvent, SimObserver};
-use crate::packed::FIG11_TABLE_ROWS;
 
 /// PMT's context-switch cost range in microseconds (§5.1).
 const PMT_SWITCH_MIN_US: f64 = 20.0;
 const PMT_SWITCH_MAX_US: f64 = 40.0;
 
-/// Runs the PMT baseline on `specs`.
+/// Runs the PMT baseline on `specs`, with an observer receiving the
+/// (task-granularity) event stream: operator and request completions, plus
+/// a preempt/switch pair per ownership rotation.
 ///
 /// # Errors
 ///
 /// Returns [`v10_sim::V10Error::InvalidArgument`] if `specs` is empty, and
 /// [`v10_sim::V10Error::Deadlock`] / [`v10_sim::V10Error::Livelock`] if the
 /// simulation stops making progress.
-pub fn run_pmt(
-    specs: &[WorkloadSpec],
-    config: &NpuConfig,
-    opts: &RunOptions,
-) -> V10Result<RunReport> {
-    run_pmt_observed(specs, config, opts, &mut NullObserver)
-}
-
-/// [`run_pmt`] with an observer receiving the (task-granularity) event
-/// stream: operator and request completions, plus a preempt/switch pair per
-/// ownership rotation.
-///
-/// # Errors
-///
-/// As [`run_pmt`].
 pub fn run_pmt_observed<O: SimObserver>(
     specs: &[WorkloadSpec],
     config: &NpuConfig,
     opts: &RunOptions,
     observer: &mut O,
 ) -> V10Result<RunReport> {
-    if specs.is_empty() {
-        return Err(V10Error::invalid("run_pmt", "need at least one workload"));
-    }
-    let schedule = AdmissionSchedule::closed_loop(specs, opts.requests_per_workload())?;
-    serve_pmt_with_capacity(
-        "run_pmt",
+    const CONTEXT: &str = "run_pmt_observed";
+    let (schedule, opts) = closed_loop(CONTEXT, specs, opts)?;
+    serve_pmt_faulted_observed(
+        CONTEXT,
         &schedule,
         config,
-        opts,
-        specs.len(),
-        FaultInjector::disarmed(),
+        &opts,
+        &FaultPlan::none(),
         observer,
     )
 }
 
-/// Serves an open-loop [`AdmissionSchedule`] on the PMT baseline: tenants
-/// join the ownership rotation when they arrive (rejected if the context
-/// table is full) and leave it when their request quota completes.
-///
-/// The table holds `opts.table_capacity()` slots, defaulting to
-/// [`FIG11_TABLE_ROWS`].
-///
-/// # Errors
-///
-/// As [`run_pmt`].
-pub fn serve_pmt(
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-) -> V10Result<RunReport> {
-    serve_pmt_observed(schedule, config, opts, &mut NullObserver)
-}
-
-/// [`serve_pmt`] with an observer receiving the event stream, including the
-/// tenancy events.
-///
-/// # Errors
-///
-/// As [`run_pmt`].
-pub fn serve_pmt_observed<O: SimObserver>(
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-    serve_pmt_with_capacity(
-        "serve_pmt",
-        schedule,
-        config,
-        opts,
-        capacity,
-        FaultInjector::disarmed(),
-        observer,
-    )
-}
-
-/// [`serve_pmt`] under a [`FaultPlan`]. A transient operator fault rewinds
-/// the owner's in-flight operator to its checkpoint and charges a full
+/// The single PMT serving body: tenants join the ownership rotation when
+/// they arrive (rejected if the context table is full) and leave it when
+/// their request quota completes. A transient operator fault rewinds the
+/// owner's in-flight operator to its checkpoint and charges a full
 /// 20–40 µs PMT context restore (the whole-core context lives in HBM,
-/// §5.1); a core stall freezes the core for its duration; a permanent fault
-/// retires the core. An empty plan is bit-identical to [`serve_pmt`].
-///
-/// # Errors
-///
-/// As [`run_pmt`], plus [`v10_sim::V10Error::InvalidArgument`] if the plan's
-/// stochastic streams expand past the compile-time cap.
-pub fn serve_pmt_faulted(
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    plan: &FaultPlan,
-) -> V10Result<RunReport> {
-    serve_pmt_faulted_observed(schedule, config, opts, plan, &mut NullObserver)
-}
-
-/// [`serve_pmt_faulted`] with an observer receiving the event stream,
-/// including the fault and recovery events.
-///
-/// # Errors
-///
-/// As [`serve_pmt_faulted`].
-pub fn serve_pmt_faulted_observed<O: SimObserver>(
-    schedule: &AdmissionSchedule,
-    config: &NpuConfig,
-    opts: &RunOptions,
-    plan: &FaultPlan,
-    observer: &mut O,
-) -> V10Result<RunReport> {
-    let capacity = opts.table_capacity().unwrap_or(FIG11_TABLE_ROWS);
-    let faults = FaultInjector::compile(plan)?;
-    serve_pmt_with_capacity(
-        "serve_pmt_faulted",
-        schedule,
-        config,
-        opts,
-        capacity,
-        faults,
-        observer,
-    )
-}
-
-fn serve_pmt_with_capacity<O: SimObserver>(
+/// §5.1); a core stall freezes the core for its duration; a permanent
+/// fault retires the core. An empty plan is bit-identical to plain
+/// serving. `context` names the public entry for error messages.
+pub(crate) fn serve_pmt_faulted_observed<O: SimObserver>(
     context: &'static str,
     schedule: &AdmissionSchedule,
     config: &NpuConfig,
     opts: &RunOptions,
-    capacity: usize,
-    faults: FaultInjector,
+    plan: &FaultPlan,
     observer: &mut O,
 ) -> V10Result<RunReport> {
+    let faults = FaultInjector::compile(plan)?;
     // One slot: PMT owns the whole core; the slot's kind tracks the owner's
     // current operator.
     let pool = FuPool::new(1)?;
@@ -182,7 +85,7 @@ fn serve_pmt_with_capacity<O: SimObserver>(
         .next()
         .ok_or_else(|| V10Error::invalid(context, "FU pool of one pair is empty"))?;
     let slots = vec![Slot::new(fu, v10_isa::FuKind::Sa)];
-    let core = EngineCore::new(context, schedule, config, capacity, slots, faults, observer)?;
+    let core = EngineCore::new(context, schedule, config, opts, slots, faults, observer)?;
     let mut strategy = PmtStrategy::new(config, opts);
     drive(core, &mut strategy)
 }
@@ -198,10 +101,16 @@ pub fn run_single_tenant(
     config: &NpuConfig,
     requests: usize,
 ) -> V10Result<RunReport> {
-    run_pmt(
-        std::slice::from_ref(spec),
+    const CONTEXT: &str = "run_single_tenant";
+    let opts = RunOptions::new(requests)?;
+    let (schedule, opts) = closed_loop(CONTEXT, std::slice::from_ref(spec), &opts)?;
+    serve_pmt_faulted_observed(
+        CONTEXT,
+        &schedule,
         config,
-        &RunOptions::new(requests)?,
+        &opts,
+        &FaultPlan::none(),
+        &mut NullObserver,
     )
 }
 
@@ -541,13 +450,14 @@ mod tests {
 
     #[test]
     fn pmt_never_overlaps_sa_and_vu() {
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[
                 spec("a", vec![sa(50_000), vu(5_000)]),
                 spec("b", vec![sa(5_000), vu(50_000)]),
             ],
             &NpuConfig::table5(),
             &RunOptions::new(5).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         assert_eq!(r.overlap().both, 0.0, "PMT cannot overlap SA and VU (O4)");
@@ -559,10 +469,11 @@ mod tests {
         // Requests comparable to the 2 ms PMT slice, many of them, so the
         // end-of-run imbalance is at most one slice.
         let w = spec("w", vec![sa(1_000_000)]);
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[w.clone(), w],
             &NpuConfig::table5(),
             &RunOptions::new(10).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         let a = r.workloads()[0].busy_sa_cycles();
@@ -574,10 +485,11 @@ mod tests {
     #[test]
     fn pmt_priority_scales_time_share() {
         let mk = |p: f64| spec("w", vec![sa(100_000)]).with_priority(p).unwrap();
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[mk(3.0), mk(1.0)],
             &NpuConfig::table5(),
             &RunOptions::new(6).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         // The high-priority workload gets ~3x the core time, so it finishes
@@ -589,13 +501,14 @@ mod tests {
 
     #[test]
     fn pmt_switch_costs_are_20_to_40_us() {
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[
                 spec("a", vec![sa(1_000_000)]),
                 spec("b", vec![sa(1_000_000)]),
             ],
             &NpuConfig::table5(),
             &RunOptions::new(3).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         let total_preempts: u64 = r.workloads().iter().map(|w| w.preemptions()).sum();
@@ -611,13 +524,14 @@ mod tests {
     #[test]
     fn pmt_preempts_far_less_often_than_its_slice_would_under_v10() {
         // PMT's 2 ms task-level slice gives ~request-scale preemption counts.
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[
                 spec("a", vec![sa(700_000), vu(700_000)]), // 2 ms requests
                 spec("b", vec![sa(700_000), vu(700_000)]),
             ],
             &NpuConfig::table5(),
             &RunOptions::new(5).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         for wl in r.workloads() {
@@ -633,13 +547,14 @@ mod tests {
     #[test]
     fn latencies_span_paused_periods() {
         // With two tenants, each request takes at least ~2x its busy time.
-        let r = run_pmt(
+        let r = run_pmt_observed(
             &[
                 spec("a", vec![sa(3_000_000)]),
                 spec("b", vec![sa(3_000_000)]),
             ],
             &NpuConfig::table5(),
             &RunOptions::new(3).unwrap(),
+            &mut NullObserver,
         )
         .unwrap();
         for wl in r.workloads() {
@@ -655,13 +570,14 @@ mod tests {
     fn deterministic_given_seed() {
         let specs = [spec("a", vec![sa(50_000)]), spec("b", vec![vu(50_000)])];
         let opts = RunOptions::new(4).unwrap().with_seed(9);
-        let r1 = run_pmt(&specs, &NpuConfig::table5(), &opts).unwrap();
-        let r2 = run_pmt(&specs, &NpuConfig::table5(), &opts).unwrap();
+        let r1 = run_pmt_observed(&specs, &NpuConfig::table5(), &opts, &mut NullObserver).unwrap();
+        let r2 = run_pmt_observed(&specs, &NpuConfig::table5(), &opts, &mut NullObserver).unwrap();
         assert_eq!(r1.elapsed_cycles(), r2.elapsed_cycles());
-        let r3 = run_pmt(
+        let r3 = run_pmt_observed(
             &specs,
             &NpuConfig::table5(),
             &RunOptions::new(4).unwrap().with_seed(10),
+            &mut NullObserver,
         )
         .unwrap();
         assert_ne!(r1.elapsed_cycles(), r3.elapsed_cycles());
@@ -669,7 +585,13 @@ mod tests {
 
     #[test]
     fn empty_specs_rejected() {
-        let err = run_pmt(&[], &NpuConfig::table5(), &RunOptions::new(1).unwrap()).unwrap_err();
+        let err = run_pmt_observed(
+            &[],
+            &NpuConfig::table5(),
+            &RunOptions::new(1).unwrap(),
+            &mut NullObserver,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("at least one workload"), "{err}");
     }
 
@@ -738,10 +660,11 @@ mod seeded_tests {
             let spec = WorkloadSpec::new(format!("w{case}"), random_trace(&mut rng));
             let cfg = NpuConfig::table5();
             let requests = 1 + rng.index(4);
-            let pmt = run_pmt(
+            let pmt = run_pmt_observed(
                 std::slice::from_ref(&spec),
                 &cfg,
                 &RunOptions::new(requests).unwrap(),
+                &mut NullObserver,
             )
             .unwrap();
             let single = run_single_tenant(&spec, &cfg, requests).unwrap();
@@ -769,6 +692,8 @@ mod fault_tests {
     use super::*;
     use crate::lifecycle::Admission;
     use crate::observer::CounterObserver;
+    use crate::overload::OverloadController;
+    use crate::{serve_design, serve_design_stressed, serve_design_stressed_observed, Design};
     use v10_isa::{FuKind, OpDesc, RequestTrace};
     use v10_sim::{FaultKind, FaultPlan};
 
@@ -790,8 +715,16 @@ mod fault_tests {
     fn zero_fault_plan_is_bit_identical_to_serve_pmt() {
         let cfg = NpuConfig::table5();
         let opts = RunOptions::new(3).unwrap();
-        let plain = serve_pmt(&schedule(), &cfg, &opts).unwrap();
-        let faulted = serve_pmt_faulted(&schedule(), &cfg, &opts, &FaultPlan::none()).unwrap();
+        let plain = serve_design(Design::Pmt, &schedule(), &cfg, &opts).unwrap();
+        let faulted = serve_design_stressed(
+            Design::Pmt,
+            &schedule(),
+            &cfg,
+            &opts,
+            &FaultPlan::none(),
+            OverloadController::disarmed(),
+        )
+        .unwrap();
         assert_eq!(
             plain.elapsed_cycles().to_bits(),
             faulted.elapsed_cycles().to_bits()
@@ -813,13 +746,21 @@ mod fault_tests {
     fn transient_fault_charges_a_whole_core_restore() {
         let cfg = NpuConfig::table5();
         let opts = RunOptions::new(3).unwrap();
-        let plain = serve_pmt(&schedule(), &cfg, &opts).unwrap();
+        let plain = serve_design(Design::Pmt, &schedule(), &cfg, &opts).unwrap();
         let plan = FaultPlan::none()
             .with_fault(50_000.0, FaultKind::TransientOp { victim_salt: 0 })
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted =
-            serve_pmt_faulted_observed(&schedule(), &cfg, &opts, &plan, &mut counters).unwrap();
+        let faulted = serve_design_stressed_observed(
+            Design::Pmt,
+            &schedule(),
+            &cfg,
+            &opts,
+            &plan,
+            OverloadController::disarmed(),
+            &mut counters,
+        )
+        .unwrap();
         assert_eq!(counters.fault_injected(), 1);
         assert_eq!(counters.op_replayed(), 1);
         let replays: u64 = faulted.workloads().iter().map(|w| w.replays()).sum();
@@ -850,8 +791,16 @@ mod fault_tests {
             .with_fault(30_000.0, FaultKind::CoreRetire)
             .unwrap();
         let mut counters = CounterObserver::new();
-        let faulted =
-            serve_pmt_faulted_observed(&schedule(), &cfg, &opts, &plan, &mut counters).unwrap();
+        let faulted = serve_design_stressed_observed(
+            Design::Pmt,
+            &schedule(),
+            &cfg,
+            &opts,
+            &plan,
+            OverloadController::disarmed(),
+            &mut counters,
+        )
+        .unwrap();
         assert_eq!(counters.core_retired(), 1);
         assert_eq!(faulted.core_retired_at(), Some(30_000.0));
         assert!(counters.admission_rejected() >= 1, "b never got to board");

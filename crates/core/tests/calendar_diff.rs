@@ -16,8 +16,8 @@
 //! `RuntimeAuditor`'s conservation invariants must hold.
 
 use v10_core::{
-    serve_design_faulted_observed, Admission, AdmissionSchedule, Design, FaultKind, FaultPlan,
-    RunOptions, RunReport, RuntimeAuditor, SimEvent, SimObserver, WorkloadSpec,
+    serve_design_stressed_observed, Admission, AdmissionSchedule, Design, FaultKind, FaultPlan,
+    OverloadController, RunOptions, RunReport, RuntimeAuditor, SimEvent, SimObserver, WorkloadSpec,
 };
 use v10_npu::NpuConfig;
 use v10_sim::SimRng;
@@ -145,9 +145,16 @@ fn random_schedules_and_fault_plans_are_deterministic_and_spine_clean() {
             // cross-checks the calendar against the naive scan at every
             // step of this run too.
             let mut auditor = RuntimeAuditor::new();
-            let audited =
-                serve_design_faulted_observed(design, &schedule, &cfg, &opts, &plan, &mut auditor)
-                    .expect("valid audited run");
+            let audited = serve_design_stressed_observed(
+                design,
+                &schedule,
+                &cfg,
+                &opts,
+                &plan,
+                OverloadController::disarmed(),
+                &mut auditor,
+            )
+            .expect("valid audited run");
             auditor.reconcile(&audited);
             assert!(
                 auditor.is_clean(),
@@ -158,13 +165,27 @@ fn random_schedules_and_fault_plans_are_deterministic_and_spine_clean() {
             // Run twice under a recorder: the full event sequence and
             // the report must be bit-identical run to run.
             let mut rec1 = Recorder::default();
-            let r1 =
-                serve_design_faulted_observed(design, &schedule, &cfg, &opts, &plan, &mut rec1)
-                    .expect("valid recorded run");
+            let r1 = serve_design_stressed_observed(
+                design,
+                &schedule,
+                &cfg,
+                &opts,
+                &plan,
+                OverloadController::disarmed(),
+                &mut rec1,
+            )
+            .expect("valid recorded run");
             let mut rec2 = Recorder::default();
-            let r2 =
-                serve_design_faulted_observed(design, &schedule, &cfg, &opts, &plan, &mut rec2)
-                    .expect("valid recorded run");
+            let r2 = serve_design_stressed_observed(
+                design,
+                &schedule,
+                &cfg,
+                &opts,
+                &plan,
+                OverloadController::disarmed(),
+                &mut rec2,
+            )
+            .expect("valid recorded run");
             assert_eq!(
                 rec1.events.len(),
                 rec2.events.len(),

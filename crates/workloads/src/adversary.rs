@@ -376,8 +376,9 @@ impl AdversaryScenario {
     }
 
     /// The fleet-scoped fault plan (shard crashes, region failures, link
-    /// faults) for planes served through `FleetPlane::serve_faulted`.
-    /// Empty for every case outside the fleet-fault family.
+    /// faults) for planes served through
+    /// `FleetPlane::serve_faulted_observed`. Empty for every case outside
+    /// the fleet-fault family.
     #[must_use]
     pub fn fleet_plan(&self) -> &FleetFaultPlan {
         &self.fleet_plan

@@ -21,8 +21,8 @@ use v10::collocate::{
     RecoveryPolicy,
 };
 use v10::core::{
-    serve_design_faulted_observed, Admission, AdmissionSchedule, Design, JsonLinesObserver,
-    RunOptions, WorkloadSpec,
+    serve_design_stressed_observed, Admission, AdmissionSchedule, Design, JsonLinesObserver,
+    OverloadController, RunOptions, WorkloadSpec,
 };
 use v10::isa::{FuKind, OpDesc, RequestTrace};
 use v10::npu::NpuConfig;
@@ -113,12 +113,13 @@ fn single_core_drill() {
 
     let opts = RunOptions::new(3).expect("positive requests").with_seed(7);
     let mut observer = JsonLinesObserver::new(Vec::new());
-    let report = serve_design_faulted_observed(
+    let report = serve_design_stressed_observed(
         Design::V10Full,
         &schedule,
         &NpuConfig::table5(),
         &opts,
         &plan,
+        OverloadController::disarmed(),
         &mut observer,
     )
     .expect("faulted drill run");
@@ -195,12 +196,13 @@ fn cluster_requeue_drill() {
     let opts = RunOptions::new(2).expect("positive requests").with_seed(7);
     let mut observer = JsonLinesObserver::new(Vec::new());
     let report = controller
-        .serve_faulted_observed(
+        .serve_stressed_observed(
             Design::V10Full,
             &NpuConfig::table5(),
             &opts,
             &plans,
             &RecoveryPolicy::default(),
+            &OverloadController::disarmed(),
             &mut observer,
         )
         .expect("faulted cluster serve");

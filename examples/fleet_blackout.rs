@@ -22,7 +22,7 @@ use v10::collocate::{
     build_dataset, ClusterServeReport, ClusteringPipeline, FleetOutcome, FleetPlane, OnlinePlacer,
     PairPerfCache, RecoveryPolicy, TopologyWeights,
 };
-use v10::core::{Design, RunOptions};
+use v10::core::{Design, NullObserver, RunOptions};
 use v10::npu::{FleetTopology, NpuConfig};
 use v10::sim::{Cycles, FleetFaultKind, FleetFaultPlan};
 use v10::workloads::{MmppProcess, Model, TimedArrival};
@@ -93,13 +93,14 @@ fn serve(
     .expect("valid fleet plane");
     let opts = RunOptions::new(3).expect("positive request count");
     plane
-        .serve_faulted(
+        .serve_faulted_observed(
             stream,
             Design::V10Full,
             &NpuConfig::table5(),
             &opts,
             plan,
             &RecoveryPolicy::new(),
+            &mut NullObserver,
         )
         .expect("valid faulted fleet serving run")
 }

@@ -18,8 +18,8 @@
 //! ```
 
 use v10::core::{
-    serve_design_overloaded, serve_design_overloaded_observed, Admission, AdmissionSchedule,
-    Design, JsonLinesObserver, OverloadController, OverloadPolicy, RunOptions, RuntimeAuditor,
+    serve_design_stressed, serve_design_stressed_observed, Admission, AdmissionSchedule, Design,
+    FaultPlan, JsonLinesObserver, OverloadController, OverloadPolicy, RunOptions, RuntimeAuditor,
     WorkloadSpec,
 };
 use v10::npu::NpuConfig;
@@ -93,22 +93,24 @@ fn main() {
 
     // Baseline: disarmed controller == plain serving, burst arrivals bounce
     // off the full table.
-    let plain = serve_design_overloaded(
+    let plain = serve_design_stressed(
         Design::V10Full,
         &schedule,
         &cfg,
         &opts,
+        &FaultPlan::none(),
         OverloadController::disarmed(),
     )
     .expect("plain serving run");
 
     // Brownout: armed controller parks the overflow and degrades instead.
     let mut observer = JsonLinesObserver::new(Vec::new());
-    let controlled = serve_design_overloaded_observed(
+    let controlled = serve_design_stressed_observed(
         Design::V10Full,
         &schedule,
         &cfg,
         &opts,
+        &FaultPlan::none(),
         OverloadController::armed(OverloadPolicy::default()),
         &mut observer,
     )
@@ -134,11 +136,12 @@ fn main() {
     // Replay the armed run through the invariant auditor: the ladder may
     // demote, trim, and shed, but the event stream must stay conserved.
     let mut auditor = RuntimeAuditor::new();
-    let audited = serve_design_overloaded_observed(
+    let audited = serve_design_stressed_observed(
         Design::V10Full,
         &schedule,
         &cfg,
         &opts,
+        &FaultPlan::none(),
         OverloadController::armed(OverloadPolicy::default()),
         &mut auditor,
     )

@@ -8,8 +8,8 @@
 //! failure here rather than as a silent drift in the figures.
 
 use v10::core::{
-    run_design, run_single_tenant, serve_design, serve_design_faulted, Admission,
-    AdmissionSchedule, Design, RunOptions, RunReport, WorkloadSpec,
+    run_design, run_single_tenant, serve_design, serve_design_stressed, Admission,
+    AdmissionSchedule, Design, OverloadController, RunOptions, RunReport, WorkloadSpec,
 };
 use v10::npu::NpuConfig;
 use v10::sim::{FaultKind, FaultPlan};
@@ -432,8 +432,15 @@ fn drill_plan() -> FaultPlan {
 fn faulted_digest(design: Design, plan: &FaultPlan) -> Vec<u64> {
     let schedule = openloop_schedule();
     let opts = RunOptions::new(3).unwrap().with_seed(7);
-    let report =
-        serve_design_faulted(design, &schedule, &NpuConfig::table5(), &opts, plan).unwrap();
+    let report = serve_design_stressed(
+        design,
+        &schedule,
+        &NpuConfig::table5(),
+        &opts,
+        plan,
+        OverloadController::disarmed(),
+    )
+    .unwrap();
     let mut d = digest(&report);
     d.push(report.replay_overhead_cycles().to_bits());
     d.push(report.faults_injected());

@@ -18,7 +18,7 @@
 //! clean, including the [`RunReport`] reconciliation.
 
 use v10::core::{
-    audit_serve_stressed, serve_design, serve_design_overloaded, serve_design_overloaded_observed,
+    audit_serve_stressed, serve_design, serve_design_stressed, serve_design_stressed_observed,
     Admission, AdmissionSchedule, Design, OverloadController, OverloadPolicy, RunOptions,
     RunReport, RuntimeAuditor, WorkloadSpec,
 };
@@ -98,11 +98,12 @@ fn serve_audited(
     controller: OverloadController,
 ) -> RunReport {
     let mut auditor = RuntimeAuditor::new();
-    let report = serve_design_overloaded_observed(
+    let report = serve_design_stressed_observed(
         design,
         schedule,
         &NpuConfig::table5(),
         opts,
+        &FaultPlan::none(),
         controller,
         &mut auditor,
     )
@@ -184,11 +185,12 @@ fn disarmed_overload_serving_is_bit_identical_to_plain_across_threads() {
             OverloadController::disarmed()
         };
         digest(
-            &serve_design_overloaded(
+            &serve_design_stressed(
                 design,
                 &schedule,
                 &NpuConfig::table5(),
                 &serve_opts(),
+                &FaultPlan::none(),
                 controller,
             )
             .unwrap(),
