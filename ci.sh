@@ -39,6 +39,9 @@ git diff --exit-code LINT_census.json \
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> v10perf benchmark harness (builds against the workspace crates, its own tests pass)"
+cargo test -q --manifest-path v10perf/Cargo.toml
+
 echo "==> cargo bench --no-run (bench targets must keep building)"
 cargo bench --workspace --no-run -q
 

@@ -15,7 +15,8 @@
 //! minimized [`ReproFixture`] JSON ready to check in under
 //! `tests/fixtures/adversary/`, and exits 1.
 //!
-//! Machine-readable output: `BENCH_adversary.json` (override with
+//! Machine-readable output: `BENCH_adversary.json`, described and written
+//! by [`v10_bench::artifact::ADVERSARY`] (override the path with
 //! `V10_BENCH_JSON_OUT`), schema `v10-adversary/1`: per-case
 //! control-plane activity (overload entries, degradations, starvation
 //! detections, capped-boost re-queues, shed requests, faults injected)
@@ -30,7 +31,7 @@
 
 use std::time::Duration;
 
-use v10_bench::jsonio::{self, Json};
+use v10_bench::artifact::{self, Artifact};
 use v10_bench::serving::smoke;
 use v10_bench::timing::measure;
 use v10_bench::{print_table, seed};
@@ -43,9 +44,6 @@ use v10_sim::{FaultPlan, ReproFixture, V10Result};
 use v10_workloads::{
     AdversaryCase, AdversaryGen, AdversaryScenario, ScenarioKnobs, ScenarioProfile,
 };
-
-/// Schema identifier of `BENCH_adversary.json`.
-const SCHEMA: &str = "v10-adversary/1";
 
 /// One served (case, design) cell.
 struct SweepPoint {
@@ -175,106 +173,6 @@ fn shrink_violation(
     }))
 }
 
-fn render_json(points: &[SweepPoint], designs: &[Design]) -> String {
-    let clean = points.iter().filter(|p| p.violations.is_empty()).count();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!("  \"master_seed\": {},\n", seed()));
-    out.push_str(&format!("  \"designs\": {},\n", designs.len()));
-    out.push_str(&format!("  \"cases\": {},\n", AdversaryCase::ALL.len()));
-    out.push_str(&format!("  \"cells\": {},\n", points.len()));
-    out.push_str(&format!("  \"clean_cells\": {clean},\n"));
-    out.push_str("  \"points\": [\n");
-    // Wall clock stays out of the artifact on purpose: every field here
-    // is deterministic, so ci.sh can gate the committed file with a plain
-    // git diff.
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"profile\": \"{}\", \"case\": \"{}\", \"design\": \"{:?}\", \
-             \"tenants\": {}, \"overload_entries\": {}, \
-             \"degradations\": {}, \"starvations\": {}, \"boost_requeues\": {}, \
-             \"shed_requests\": {}, \"faults_injected\": {}, \"violations\": {}}}{}\n",
-            p.case.profile().label(),
-            p.case.label(),
-            p.design,
-            p.tenants,
-            p.overload_entries,
-            p.degradations,
-            p.starvations,
-            p.boost_requeues,
-            p.shed_requests,
-            p.faults_injected,
-            p.violations.len(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Validates a rendered artifact; returns the clean-cell count.
-fn validate_artifact(doc: &Json) -> Result<usize, String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != SCHEMA {
-        return Err(format!("\"schema\" is {schema:?}, want {SCHEMA:?}"));
-    }
-    for field in ["master_seed", "designs", "cases", "cells", "clean_cells"] {
-        doc.get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field {field:?}"))?;
-    }
-    let points = doc
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"points\"")?;
-    if points.is_empty() {
-        return Err("\"points\" is empty".to_string());
-    }
-    for (i, p) in points.iter().enumerate() {
-        for field in ["profile", "case", "design"] {
-            p.get(field)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("points[{i}]: missing string {field:?}"))?;
-        }
-        for field in [
-            "tenants",
-            "overload_entries",
-            "degradations",
-            "starvations",
-            "boost_requeues",
-            "shed_requests",
-            "faults_injected",
-            "violations",
-        ] {
-            let v = p
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("points[{i}]: missing numeric {field:?}"))?;
-            if v.is_nan() || v < 0.0 {
-                return Err(format!("points[{i}]: {field} = {v} is invalid"));
-            }
-        }
-    }
-    let cells = doc.get("cells").and_then(Json::as_num).unwrap_or(0.0);
-    let clean = doc
-        .get("clean_cells")
-        .and_then(Json::as_num)
-        .unwrap_or(-1.0);
-    if clean != cells {
-        return Err(format!(
-            "{} of {} cells violated the oracle",
-            cells - clean,
-            cells
-        ));
-    }
-    Ok(clean as usize)
-}
-
 fn main() {
     let designs: &[Design] = if smoke() {
         &[Design::V10Full]
@@ -337,15 +235,41 @@ fn main() {
         &rows,
     );
 
-    let rendered = render_json(&points, designs);
-    let out_path = std::env::var("V10_BENCH_JSON_OUT")
-        .unwrap_or_else(|_| format!("{}/../../BENCH_adversary.json", env!("CARGO_MANIFEST_DIR")));
-    std::fs::write(&out_path, &rendered).expect("write artifact");
-    println!("Wrote {out_path}.");
+    // Wall clock stays out of the artifact on purpose: every field is
+    // deterministic, so ci.sh can gate the committed file with a plain
+    // git diff.
+    let clean = points.iter().filter(|p| p.violations.is_empty()).count();
+    let artifact = Artifact {
+        header: vec![
+            seed().into(),
+            designs.len().into(),
+            AdversaryCase::ALL.len().into(),
+            points.len().into(),
+            clean.into(),
+        ],
+        points: points
+            .iter()
+            .map(|p| {
+                vec![
+                    p.case.profile().label().into(),
+                    p.case.label().into(),
+                    format!("{:?}", p.design).into(),
+                    p.tenants.into(),
+                    p.overload_entries.into(),
+                    p.degradations.into(),
+                    p.starvations.into(),
+                    p.boost_requeues.into(),
+                    p.shed_requests.into(),
+                    p.faults_injected.into(),
+                    p.violations.len().into(),
+                ]
+            })
+            .collect(),
+        headline: Vec::new(),
+    };
 
     if dirty.is_empty() {
-        validate_artifact(&jsonio::parse(&rendered).expect("rendered artifact parses"))
-            .expect("rendered artifact passes its own schema");
+        artifact::ADVERSARY.emit(&artifact);
         println!(
             "All {} cells served clean under the RuntimeAuditor and the serving invariants.",
             points.len()
@@ -353,6 +277,9 @@ fn main() {
         return;
     }
 
+    // The artifact lands on disk even though the run failed; validating it
+    // would only restate the violation before it is shrunk.
+    artifact::ADVERSARY.write(&artifact);
     // A violation escaped the regression suite: shrink it to a minimal,
     // seed-replayable repro before failing, so the fix starts from a
     // checked-in fixture rather than a 9-tenant scenario dump.

@@ -13,13 +13,14 @@
 //! whole fleet to `cores / S`, and the serve loop speeds up without any
 //! parallelism.
 //!
-//! Machine-readable output: the run is written to
-//! `BENCH_serving_fleet.json` (override with `V10_BENCH_JSON_OUT`). When
-//! `V10_BENCH_BASELINE` names a checked-in artifact, the bench validates
-//! it against the schema and fails (exit 1) if the fresh headline
-//! scan-reduction factor regresses below 0.9x of its checked-in value —
-//! the scan reduction is deterministic, so this gate is robust to machine
-//! noise while still catching any break in the sharded decomposition.
+//! Machine-readable output: `BENCH_serving_fleet.json`, described and
+//! written by [`v10_bench::artifact::SERVING_FLEET`] (override the path
+//! with `V10_BENCH_JSON_OUT`). When `V10_BENCH_BASELINE` names a
+//! checked-in artifact, the bench validates it against the schema and
+//! fails (exit 1) if the fresh headline scan-reduction factor regresses
+//! below 0.9x of its checked-in value — the scan reduction is
+//! deterministic, so this gate is robust to machine noise while still
+//! catching any break in the sharded decomposition.
 //!
 //! Knobs: `V10_BENCH_SEED` (arrival stream seed), `V10_BENCH_THREADS`
 //! (dirty-core re-simulation pool), `V10_BENCH_SLO_FACTOR` (goodput SLO),
@@ -28,54 +29,27 @@
 
 use std::time::Duration;
 
-use v10_bench::jsonio::{self, Json};
-use v10_bench::serving::{slo_factor, smoke};
-use v10_bench::sweep::sweep_threads;
-use v10_bench::timing::measure;
-use v10_bench::{fmt_pct, fmt_x, print_table, seed};
-use v10_collocate::{
-    build_dataset, ClusteringPipeline, FleetOutcome, FleetPlane, OnlinePlacer, PairPerfCache,
-    TopologyWeights,
+use v10_bench::artifact::{self, Artifact};
+use v10_bench::serving::{
+    fleet_flash_crowd, fleet_goodput_p99, fleet_pipeline, fleet_plane, smoke, FLEET_EPOCH_CYCLES,
+    FLEET_HBM_GROUPS, FLEET_SLOTS_PER_CORE,
 };
+use v10_bench::sweep::sweep_threads;
+use v10_bench::timing::median_wall;
+use v10_bench::{fmt_pct, fmt_x, print_table, seed};
+use v10_collocate::{ClusteringPipeline, FleetOutcome};
 use v10_core::{Design, FleetConservation, RunOptions};
-use v10_npu::{FleetTopology, NpuConfig};
-use v10_sim::Cycles;
-use v10_workloads::{MmppProcess, Model, TimedArrival};
+use v10_npu::NpuConfig;
+use v10_workloads::TimedArrival;
 
-/// Tenant mix: three light-footprint models so sessions retire within an
-/// epoch or two and slots keep recycling.
-const MODELS: [Model; 3] = [Model::Mnist, Model::Dlrm, Model::Ncf];
-
-/// Models the clustering pipeline is fitted over (superset of the served
-/// mix, same fixture as the placer evaluation).
-const FIT_MODELS: [Model; 6] = [
-    Model::Bert,
-    Model::Ncf,
-    Model::Dlrm,
-    Model::ResNet,
-    Model::Mnist,
-    Model::RetinaNet,
-];
-
-/// Fleet geometry: a 32×32 mesh — 1024 cores — with 8 HBM-affinity
-/// column bands and 64 B/cycle links.
-const MESH_WIDTH: usize = 32;
-const MESH_HEIGHT: usize = 32;
-const HBM_GROUPS: usize = 8;
-const LINK_BYTES_PER_CYCLE: f64 = 64.0;
-
-/// Context-table slots per core (the plane's admission capacity).
-const SLOTS_PER_CORE: usize = 4;
+/// Fleet geometry: a 32×32 mesh — 1024 cores (the rest of the fleet
+/// fixture is shared with `serving_fleet_faults`, see
+/// [`v10_bench::serving::fleet_plane`]).
+const MESH_SIDE: usize = 32;
 
 /// Shard counts swept; 1 shard is the flat-rescan baseline.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const SMOKE_SHARD_COUNTS: [usize; 2] = [1, 4];
-
-/// Flash-crowd arrival stream: calm-phase mean inter-arrival, burst
-/// multiplier, and mean dwell per modulation phase, in cycles.
-const BASE_MEAN_INTERARRIVAL_CYCLES: f64 = 2.5e5;
-const BURST_FACTOR: f64 = 4.0;
-const MEAN_DWELL_CYCLES: f64 = 2.0e7;
 
 /// Arrivals offered per run; each tenant submits one request (the fleet
 /// bench stresses placement, not per-core contention).
@@ -83,29 +57,12 @@ const ARRIVALS: usize = 512;
 const SMOKE_ARRIVALS: usize = 96;
 const REQUESTS_PER_SESSION: usize = 1;
 
-/// Epoch length for cross-shard departure exchange. Longer than the
-/// longest single-request service demand (~2.8 Mcycles for NCF), so
-/// tenants admitted in one epoch retire within the next few.
-const EPOCH_CYCLES: f64 = 8.0e6;
-
-/// Topology scoring weights: hops to the weight-resident HBM group and
-/// same-class antagonist spreading.
-const HOP_PENALTY: f64 = 0.02;
-const SPREAD_PENALTY: f64 = 0.01;
-
-/// Admission threshold on predicted pair STP (permissive: the bench fleet
-/// is huge, rejections are not the story).
-const PLACEMENT_THRESHOLD: f64 = 0.01;
-
 /// Decorrelates this bench's seeded streams from other benches.
 const SEED_SALT: u64 = 0x8;
 
 /// Timing samples per shard count (median reported); fewer in smoke mode.
 const SAMPLES: usize = 3;
 const SMOKE_SAMPLES: usize = 1;
-
-/// Schema version of `BENCH_serving_fleet.json`.
-const SCHEMA_VERSION: f64 = 1.0;
 
 /// One shard-count measurement.
 struct FleetPoint {
@@ -120,46 +77,6 @@ struct FleetPoint {
     p99_mcycles: f64,
 }
 
-fn arrivals_for(count: usize) -> Vec<TimedArrival> {
-    MmppProcess::flash_crowd(
-        &MODELS,
-        BASE_MEAN_INTERARRIVAL_CYCLES,
-        BURST_FACTOR,
-        MEAN_DWELL_CYCLES,
-        seed() ^ SEED_SALT,
-    )
-    .expect("valid flash-crowd process")
-    .with_requests_per_session(REQUESTS_PER_SESSION)
-    .expect("positive session quota")
-    .sample(count)
-    .expect("non-zero arrival count")
-}
-
-fn fit_pipeline() -> ClusteringPipeline {
-    let points = build_dataset(&FIT_MODELS, &[], seed());
-    let mut cache = PairPerfCache::new(2, seed());
-    ClusteringPipeline::fit(&points, 3, 3, &mut cache, seed())
-}
-
-fn make_plane(pipeline: &ClusteringPipeline, shards: usize, threads: usize) -> FleetPlane<'_> {
-    let placer = OnlinePlacer::new(pipeline)
-        .with_threshold(PLACEMENT_THRESHOLD)
-        .expect("valid placement threshold");
-    let topology = FleetTopology::mesh(MESH_WIDTH, MESH_HEIGHT, HBM_GROUPS, LINK_BYTES_PER_CYCLE)
-        .expect("valid mesh geometry");
-    let weights = TopologyWeights::new(HOP_PENALTY, SPREAD_PENALTY).expect("valid weights");
-    FleetPlane::new(
-        placer,
-        topology,
-        SLOTS_PER_CORE,
-        shards,
-        Cycles::new(EPOCH_CYCLES),
-        weights,
-    )
-    .expect("valid fleet plane")
-    .with_threads(threads)
-}
-
 fn serve_once(
     pipeline: &ClusteringPipeline,
     shards: usize,
@@ -169,7 +86,7 @@ fn serve_once(
     let opts = RunOptions::new(REQUESTS_PER_SESSION)
         .expect("positive request count")
         .with_seed(seed());
-    make_plane(pipeline, shards, threads)
+    fleet_plane(pipeline, MESH_SIDE, shards, threads)
         .serve(arrivals, Design::V10Full, &NpuConfig::table5(), &opts)
         .expect("valid fleet serving run")
 }
@@ -215,51 +132,15 @@ fn run_point(
         assert_eq!(outcome.decisions(), base_outcome.decisions());
         assert_eq!(outcome.departures(), base_outcome.departures());
     }
-    audit(&report, &outcome, MESH_WIDTH * MESH_HEIGHT);
+    audit(&report, &outcome, MESH_SIDE * MESH_SIDE);
 
-    let mut walls: Vec<Duration> = (0..samples.max(1))
-        .map(|_| {
-            let ((r, o), wall) = measure(|| serve_once(pipeline, shards, threads, arrivals));
-            assert_eq!(r, report, "fleet serve is not deterministic across reps");
-            assert_eq!(o.rebuild_core_scans(), outcome.rebuild_core_scans());
-            wall
-        })
-        .collect();
-    walls.sort_unstable();
-    let wall_median = walls[walls.len() / 2];
+    let wall_median = median_wall(samples, || {
+        let (r, o) = serve_once(pipeline, shards, threads, arrivals);
+        assert_eq!(r, report, "fleet serve is not deterministic across reps");
+        assert_eq!(o.rebuild_core_scans(), outcome.rebuild_core_scans());
+    });
 
-    // Goodput counts SLO-good requests per simulated Mcycle of fleet
-    // makespan (latest per-core completion).
-    let factor = slo_factor();
-    let slo_of = |label: &str| -> f64 {
-        let a = arrivals
-            .iter()
-            .find(|a| a.label() == label)
-            .expect("report labels come from the arrival stream");
-        factor * a.model().default_profile().request_cycles() as f64
-    };
-    let mut within_slo = 0usize;
-    let mut completed = 0usize;
-    for wl in report
-        .per_core()
-        .iter()
-        .flatten()
-        .flat_map(|r| r.workloads())
-    {
-        let bound = slo_of(wl.label());
-        for &l in wl.latencies_cycles() {
-            completed += 1;
-            if l <= bound {
-                within_slo += 1;
-            }
-        }
-    }
-    let makespan = report
-        .per_core()
-        .iter()
-        .flatten()
-        .map(|r| r.elapsed_cycles())
-        .fold(0.0f64, f64::max);
+    let (goodput_per_mcycle, p99_mcycles) = fleet_goodput_p99(&report, arrivals);
     let point = FleetPoint {
         shards,
         wall_median,
@@ -267,13 +148,9 @@ fn run_point(
         epochs: outcome.epochs(),
         placed: outcome.placed(),
         rejected: outcome.rejected(),
-        completed_requests: completed,
-        goodput_per_mcycle: if makespan > 0.0 {
-            within_slo as f64 * 1.0e6 / makespan
-        } else {
-            0.0
-        },
-        p99_mcycles: report.p99_latency_cycles() / 1.0e6,
+        completed_requests: report.completed_requests(),
+        goodput_per_mcycle,
+        p99_mcycles,
     };
     (point, (report, outcome))
 }
@@ -296,155 +173,6 @@ fn scan_reduction(points: &[FleetPoint], p: &FleetPoint) -> f64 {
     }
 }
 
-/// Renders the machine-readable artifact.
-fn render_json(points: &[FleetPoint], arrivals: usize, samples: usize) -> String {
-    let headline = points
-        .iter()
-        .find(|p| p.shards == 4)
-        .expect("the sweep always includes 4 shards");
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"serving_fleet\",\n");
-    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION:.0},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", seed()));
-    out.push_str(&format!("  \"cores\": {},\n", MESH_WIDTH * MESH_HEIGHT));
-    out.push_str(&format!("  \"hbm_groups\": {HBM_GROUPS},\n"));
-    out.push_str(&format!("  \"slots_per_core\": {SLOTS_PER_CORE},\n"));
-    out.push_str(&format!("  \"epoch_cycles\": {EPOCH_CYCLES},\n"));
-    out.push_str(&format!("  \"arrivals\": {arrivals},\n"));
-    out.push_str(&format!("  \"samples_per_point\": {samples},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"wall_seconds_median\": {:.6}, \
-             \"speedup_vs_1shard\": {:.3}, \"scaling_efficiency\": {:.3}, \
-             \"rebuild_core_scans\": {}, \"scan_reduction_vs_1shard\": {:.3}, \
-             \"epochs\": {}, \"placed\": {}, \"rejected\": {}, \
-             \"completed_requests\": {}, \"goodput_per_mcycle\": {:.4}, \
-             \"p99_mcycles\": {:.3}}}{}\n",
-            p.shards,
-            p.wall_median.as_secs_f64(),
-            speedup(points, p),
-            speedup(points, p) / p.shards as f64,
-            p.rebuild_core_scans,
-            scan_reduction(points, p),
-            p.epochs,
-            p.placed,
-            p.rejected,
-            p.completed_requests,
-            p.goodput_per_mcycle,
-            p.p99_mcycles,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"headline\": {\n");
-    out.push_str(&format!("    \"shards\": {},\n", headline.shards));
-    out.push_str(&format!(
-        "    \"speedup_vs_1shard\": {:.3},\n",
-        speedup(points, headline)
-    ));
-    out.push_str(&format!(
-        "    \"scaling_efficiency\": {:.3},\n",
-        speedup(points, headline) / headline.shards as f64
-    ));
-    out.push_str(&format!(
-        "    \"scan_reduction_vs_1shard\": {:.3}\n",
-        scan_reduction(points, headline)
-    ));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Validates a parsed artifact against the schema; returns the headline
-/// scan-reduction factor on success.
-fn validate_artifact(doc: &Json) -> Result<f64, String> {
-    let bench = doc
-        .get("bench")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"bench\"")?;
-    if bench != "serving_fleet" {
-        return Err(format!("\"bench\" is {bench:?}, want \"serving_fleet\""));
-    }
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field \"schema_version\"")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("schema_version {version} != {SCHEMA_VERSION}"));
-    }
-    for field in [
-        "seed",
-        "cores",
-        "hbm_groups",
-        "slots_per_core",
-        "epoch_cycles",
-        "arrivals",
-    ] {
-        doc.get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field {field:?}"))?;
-    }
-    let cores = doc.get("cores").and_then(Json::as_num).unwrap_or(0.0);
-    if cores < 1000.0 {
-        return Err(format!("\"cores\" is {cores}, want a >=1000-core fleet"));
-    }
-    let points = doc
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"points\"")?;
-    if points.is_empty() {
-        return Err("\"points\" is empty".to_string());
-    }
-    for (i, p) in points.iter().enumerate() {
-        for field in [
-            "shards",
-            "wall_seconds_median",
-            "speedup_vs_1shard",
-            "scaling_efficiency",
-            "rebuild_core_scans",
-            "scan_reduction_vs_1shard",
-            "epochs",
-            "placed",
-            "rejected",
-            "completed_requests",
-            "goodput_per_mcycle",
-            "p99_mcycles",
-        ] {
-            let v = p
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("points[{i}]: missing numeric {field:?}"))?;
-            if v.is_nan() || v < 0.0 {
-                return Err(format!("points[{i}]: {field} = {v} is negative"));
-            }
-        }
-    }
-    let headline = doc.get("headline").ok_or("missing object \"headline\"")?;
-    let shards = headline
-        .get("shards")
-        .and_then(Json::as_num)
-        .ok_or("headline: missing numeric \"shards\"")?;
-    if shards != 4.0 {
-        return Err(format!("headline shards {shards} != 4"));
-    }
-    headline
-        .get("speedup_vs_1shard")
-        .and_then(Json::as_num)
-        .ok_or("headline: missing numeric \"speedup_vs_1shard\"")?;
-    let reduction = headline
-        .get("scan_reduction_vs_1shard")
-        .and_then(Json::as_num)
-        .ok_or("headline: missing numeric \"scan_reduction_vs_1shard\"")?;
-    if reduction <= 1.0 {
-        return Err(format!(
-            "headline scan_reduction_vs_1shard {reduction} <= 1: sharding is not decomposing the rescan"
-        ));
-    }
-    Ok(reduction)
-}
-
 fn main() {
     let smoke = smoke();
     let samples = if smoke { SMOKE_SAMPLES } else { SAMPLES };
@@ -456,8 +184,8 @@ fn main() {
     };
     let threads = sweep_threads();
 
-    let pipeline = fit_pipeline();
-    let arrivals = arrivals_for(arrival_count);
+    let pipeline = fleet_pipeline();
+    let arrivals = fleet_flash_crowd(REQUESTS_PER_SESSION, SEED_SALT, arrival_count);
 
     let mut points: Vec<FleetPoint> = Vec::new();
     let mut baseline: Option<(v10_collocate::ClusterServeReport, FleetOutcome)> = None;
@@ -495,7 +223,7 @@ fn main() {
         &format!(
             "Fleet serving — {} cores, {} arrivals, {} worker thread(s); \
              wall-clock and scaling vs shard count",
-            MESH_WIDTH * MESH_HEIGHT,
+            MESH_SIDE * MESH_SIDE,
             arrivals.len(),
             threads
         ),
@@ -519,32 +247,49 @@ fn main() {
         base.placed, base.rejected, base.completed_requests, base.p99_mcycles
     );
 
-    // Default to the workspace root regardless of the harness CWD
-    // (cargo bench runs the binary from the package directory).
-    let out_path = std::env::var("V10_BENCH_JSON_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_serving_fleet.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    let rendered = render_json(&points, arrivals.len(), samples);
-    validate_artifact(&jsonio::parse(&rendered).expect("rendered artifact parses"))
-        .expect("rendered artifact passes its own schema");
-    std::fs::write(&out_path, &rendered).expect("write artifact");
-    println!("Wrote {out_path}.");
-
-    if let Ok(baseline_path) = std::env::var("V10_BENCH_BASELINE") {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
-        let doc = jsonio::parse(&text)
-            .unwrap_or_else(|e| panic!("baseline {baseline_path} is not valid JSON: {e}"));
-        let committed = validate_artifact(&doc)
-            .unwrap_or_else(|e| panic!("baseline {baseline_path} fails the schema: {e}"));
-        let fresh = points
+    let headline = points
+        .iter()
+        .find(|p| p.shards == 4)
+        .expect("the sweep always includes 4 shards");
+    let artifact = Artifact {
+        header: vec![
+            seed().into(),
+            (MESH_SIDE * MESH_SIDE).into(),
+            FLEET_HBM_GROUPS.into(),
+            FLEET_SLOTS_PER_CORE.into(),
+            FLEET_EPOCH_CYCLES.into(),
+            arrivals.len().into(),
+            samples.into(),
+        ],
+        points: points
             .iter()
-            .find(|p| p.shards == 4)
-            .map(|p| scan_reduction(&points, p))
-            .expect("the sweep always includes 4 shards");
+            .map(|p| {
+                vec![
+                    p.shards.into(),
+                    p.wall_median.as_secs_f64().into(),
+                    speedup(&points, p).into(),
+                    (speedup(&points, p) / p.shards as f64).into(),
+                    p.rebuild_core_scans.into(),
+                    scan_reduction(&points, p).into(),
+                    p.epochs.into(),
+                    p.placed.into(),
+                    p.rejected.into(),
+                    p.completed_requests.into(),
+                    p.goodput_per_mcycle.into(),
+                    p.p99_mcycles.into(),
+                ]
+            })
+            .collect(),
+        headline: vec![
+            headline.shards.into(),
+            speedup(&points, headline).into(),
+            (speedup(&points, headline) / headline.shards as f64).into(),
+            scan_reduction(&points, headline).into(),
+        ],
+    };
+    if let Some(baseline) = artifact::SERVING_FLEET.emit(&artifact) {
+        let committed = artifact::headline_num(&baseline, "scan_reduction_vs_1shard");
+        let fresh = scan_reduction(&points, headline);
         let floor = 0.9 * committed;
         println!(
             "Regression gate: fresh 4-shard scan reduction {} vs checked-in {} (floor 0.9x = {}).",

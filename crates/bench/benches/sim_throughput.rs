@@ -9,25 +9,24 @@
 //! simulated-cycles-per-wall-second per point. Simulated results stay
 //! deterministic — wall timing never feeds the simulation.
 //!
-//! Machine-readable output: the run is written to
-//! `BENCH_sim_throughput.json` (override with `V10_BENCH_JSON_OUT`). When
-//! `V10_BENCH_BASELINE` names a checked-in artifact, the bench validates
-//! that artifact against the schema and fails (exit 1) if the fresh
-//! headline throughput regresses below 0.9x of its checked-in value —
-//! this is the CI gate wired up in `ci.sh`.
+//! Machine-readable output: `BENCH_sim_throughput.json`, described and
+//! written by [`v10_bench::artifact::SIM_THROUGHPUT`] (override the path
+//! with `V10_BENCH_JSON_OUT`). When `V10_BENCH_BASELINE` names a
+//! checked-in artifact, the bench validates that artifact against the
+//! schema and fails (exit 1) if the fresh headline throughput regresses
+//! below 0.9x of its checked-in value — this is the CI gate wired up in
+//! `ci.sh`.
 //!
 //! Knobs: `V10_BENCH_SEED` (arrival stream seed), `V10_BENCH_SMOKE=1`
 //! (headline tenant count only, fewer timing samples — used by CI).
 
 use std::time::Duration;
 
-use v10_bench::jsonio::{self, Json};
-use v10_bench::serving::smoke;
+use v10_bench::artifact::{self, Artifact};
+use v10_bench::serving::{schedule_of, smoke};
 use v10_bench::timing::{cycles_per_sec, fmt_cycles_per_sec, measure, median_wall};
 use v10_bench::{fmt_x, print_table, seed};
-use v10_core::{
-    serve_design, Admission, AdmissionSchedule, Design, RunOptions, RunReport, WorkloadSpec,
-};
+use v10_core::{serve_design, AdmissionSchedule, Design, RunOptions, RunReport};
 use v10_npu::NpuConfig;
 use v10_workloads::{Model, OpenLoopProcess};
 
@@ -56,9 +55,6 @@ const SEED_SALT: u64 = 0x7;
 /// Timing samples per point (median reported); fewer in smoke mode.
 const SAMPLES: usize = 5;
 const SMOKE_SAMPLES: usize = 3;
-
-/// Schema version of `BENCH_sim_throughput.json`.
-const SCHEMA_VERSION: f64 = 1.0;
 
 /// Pre-refactor headline throughput (V10-Full at the largest tenant
 /// count), measured on this container immediately before the event-spine
@@ -91,19 +87,7 @@ fn schedule_for(tenants: usize) -> AdmissionSchedule {
         .expect("positive session quota")
         .with_think_cycles(MEAN_THINK_CYCLES)
         .expect("non-negative think time");
-    let arrivals = process.sample(tenants).expect("non-zero arrival count");
-    let admissions: Vec<Admission> = arrivals
-        .iter()
-        .map(|a| {
-            Admission::new(
-                WorkloadSpec::new(a.label(), a.trace().clone()),
-                a.at_cycles(),
-                a.requests(),
-            )
-            .expect("sampled arrivals are valid admissions")
-        })
-        .collect();
-    AdmissionSchedule::new(admissions).expect("non-empty schedule")
+    schedule_of(&process.sample(tenants).expect("non-zero arrival count"))
 }
 
 fn run_once(design: Design, schedule: &AdmissionSchedule) -> RunReport {
@@ -140,126 +124,6 @@ fn run_point(design: Design, tenants: usize, samples: usize) -> ThroughputPoint 
         completed_requests,
         wall_median,
     }
-}
-
-/// Renders the machine-readable artifact.
-fn render_json(points: &[ThroughputPoint], headline: &ThroughputPoint, samples: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"sim_throughput\",\n");
-    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION:.0},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", seed()));
-    out.push_str(&format!(
-        "  \"requests_per_session\": {REQUESTS_PER_SESSION},\n"
-    ));
-    out.push_str(&format!(
-        "  \"mean_interarrival_cycles\": {MEAN_INTERARRIVAL_CYCLES},\n"
-    ));
-    out.push_str(&format!("  \"samples_per_point\": {samples},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"design\": \"{}\", \"tenants\": {}, \"simulated_cycles\": {}, \
-             \"completed_requests\": {}, \"wall_seconds_median\": {:.6}, \
-             \"cycles_per_wall_second\": {:.1}}}{}\n",
-            jsonio::escape(p.design.name()),
-            p.tenants,
-            p.simulated_cycles,
-            p.completed_requests,
-            p.wall_median.as_secs_f64(),
-            p.rate(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"headline\": {\n");
-    out.push_str(&format!(
-        "    \"design\": \"{}\",\n",
-        jsonio::escape(headline.design.name())
-    ));
-    out.push_str(&format!("    \"tenants\": {},\n", headline.tenants));
-    out.push_str(&format!(
-        "    \"cycles_per_wall_second\": {:.1},\n",
-        headline.rate()
-    ));
-    out.push_str(&format!(
-        "    \"pre_refactor_cycles_per_wall_second\": {PRE_REFACTOR_CYCLES_PER_SEC:.1},\n"
-    ));
-    out.push_str(&format!(
-        "    \"speedup_vs_pre_refactor\": {:.2}\n",
-        if PRE_REFACTOR_CYCLES_PER_SEC > 0.0 {
-            headline.rate() / PRE_REFACTOR_CYCLES_PER_SEC
-        } else {
-            0.0
-        }
-    ));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Validates a parsed artifact against the schema; returns the headline
-/// cycles/second on success.
-fn validate_artifact(doc: &Json) -> Result<f64, String> {
-    let bench = doc
-        .get("bench")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"bench\"")?;
-    if bench != "sim_throughput" {
-        return Err(format!("\"bench\" is {bench:?}, want \"sim_throughput\""));
-    }
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field \"schema_version\"")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("schema_version {version} != {SCHEMA_VERSION}"));
-    }
-    for field in ["seed", "requests_per_session", "mean_interarrival_cycles"] {
-        doc.get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field {field:?}"))?;
-    }
-    let points = doc
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"points\"")?;
-    if points.is_empty() {
-        return Err("\"points\" is empty".to_string());
-    }
-    for (i, p) in points.iter().enumerate() {
-        p.get("design")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("points[{i}]: missing string \"design\""))?;
-        for field in [
-            "tenants",
-            "simulated_cycles",
-            "completed_requests",
-            "wall_seconds_median",
-            "cycles_per_wall_second",
-        ] {
-            let v = p
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("points[{i}]: missing numeric {field:?}"))?;
-            if v.is_nan() || v < 0.0 {
-                return Err(format!("points[{i}]: {field} = {v} is negative"));
-            }
-        }
-    }
-    let headline = doc.get("headline").ok_or("missing object \"headline\"")?;
-    headline
-        .get("design")
-        .and_then(Json::as_str)
-        .ok_or("headline: missing string \"design\"")?;
-    let rate = headline
-        .get("cycles_per_wall_second")
-        .and_then(Json::as_num)
-        .ok_or("headline: missing numeric \"cycles_per_wall_second\"")?;
-    if rate <= 0.0 {
-        return Err(format!("headline cycles_per_wall_second {rate} <= 0"));
-    }
-    Ok(rate)
 }
 
 fn main() {
@@ -315,27 +179,36 @@ fn main() {
         fmt_cycles_per_sec(PRE_REFACTOR_CYCLES_PER_SEC),
     );
 
-    // Default to the workspace root regardless of the harness CWD
-    // (cargo bench runs the binary from the package directory).
-    let out_path = std::env::var("V10_BENCH_JSON_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_sim_throughput.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    let rendered = render_json(&points, headline, samples);
-    validate_artifact(&jsonio::parse(&rendered).expect("rendered artifact parses"))
-        .expect("rendered artifact passes its own schema");
-    std::fs::write(&out_path, &rendered).expect("write artifact");
-    println!("Wrote {out_path}.");
-
-    if let Ok(baseline_path) = std::env::var("V10_BENCH_BASELINE") {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
-        let doc = jsonio::parse(&text)
-            .unwrap_or_else(|e| panic!("baseline {baseline_path} is not valid JSON: {e}"));
-        let committed = validate_artifact(&doc)
-            .unwrap_or_else(|e| panic!("baseline {baseline_path} fails the schema: {e}"));
+    let artifact = Artifact {
+        header: vec![
+            seed().into(),
+            REQUESTS_PER_SESSION.into(),
+            MEAN_INTERARRIVAL_CYCLES.into(),
+            samples.into(),
+        ],
+        points: points
+            .iter()
+            .map(|p| {
+                vec![
+                    p.design.name().into(),
+                    p.tenants.into(),
+                    p.simulated_cycles.into(),
+                    p.completed_requests.into(),
+                    p.wall_median.as_secs_f64().into(),
+                    p.rate().into(),
+                ]
+            })
+            .collect(),
+        headline: vec![
+            headline.design.name().into(),
+            headline.tenants.into(),
+            headline.rate().into(),
+            PRE_REFACTOR_CYCLES_PER_SEC.into(),
+            (headline.rate() / PRE_REFACTOR_CYCLES_PER_SEC).into(),
+        ],
+    };
+    if let Some(baseline) = artifact::SIM_THROUGHPUT.emit(&artifact) {
+        let committed = artifact::headline_num(&baseline, "cycles_per_wall_second");
         let fresh = headline.rate();
         let floor = 0.9 * committed;
         println!(

@@ -1,12 +1,13 @@
 //! Minimal JSON reading/writing for the machine-readable bench artifacts.
 //!
 //! The workspace builds fully offline with no serialization dependency, so
-//! the `BENCH_*.json` artifacts are written with `format!` and read back by
-//! this hand-rolled recursive-descent parser. It supports exactly the JSON
-//! subset those artifacts use — objects, arrays, strings with the common
-//! escapes, finite numbers, booleans, and null — and rejects everything
-//! else with a position-tagged error, which is what the CI schema gate
-//! wants: a malformed artifact must fail loudly, not parse loosely.
+//! the `BENCH_*.json` artifacts are written by [`crate::artifact`] and
+//! read back by this hand-rolled recursive-descent parser. It supports
+//! exactly the JSON subset those artifacts use — objects, arrays, strings
+//! with the common escapes and `\u` surrogate pairs, finite numbers in the
+//! RFC 8259 grammar, booleans, and null — and rejects everything else with
+//! a position-tagged error, which is what the CI schema gate wants: a
+//! malformed artifact must fail loudly, not parse loosely.
 
 use std::collections::BTreeMap;
 
@@ -139,13 +140,45 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
     }
 }
 
+/// Parses a number under the RFC 8259 grammar:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while bytes
-        .get(*pos)
-        .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-    {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    let bad = |what: &str| format!("bad number at byte {start}: {what}");
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
+    }
+    match bytes.get(*pos) {
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(bad("expected a digit")),
+    }
+    if bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+        return Err(bad("leading zero"));
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(bad("expected a digit after '.'"));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(bad("expected a digit in the exponent"));
+        }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
     let n: f64 = text
@@ -155,6 +188,17 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Err(format!("non-finite number {text:?} at byte {start}"));
     }
     Ok(Json::Num(n))
+}
+
+/// The code unit of the `\uXXXX` escape whose backslash is at byte `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    bytes
+        .get(at + 2..at + 6)
+        .and_then(|hex| {
+            hex.iter()
+                .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+        })
+        .ok_or_else(|| format!("bad \\u escape at byte {at}"))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -177,14 +221,27 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                        let at = *pos - 1;
+                        let mut code = hex4(bytes, at)?;
                         *pos += 4;
+                        // A high surrogate must be followed by an escaped
+                        // low one; the pair encodes one supplementary
+                        // scalar.
+                        if (0xD800..0xDC00).contains(&code) {
+                            let low = match bytes.get(*pos + 1..*pos + 3) {
+                                Some(b"\\u") => hex4(bytes, *pos + 1)?,
+                                _ => 0,
+                            };
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err(format!("lone surrogate escape at byte {at}"));
+                            }
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            *pos += 6;
+                        }
+                        out.push(
+                            char::from_u32(code)
+                                .ok_or_else(|| format!("lone surrogate escape at byte {at}"))?,
+                        );
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 }
@@ -296,6 +353,17 @@ mod tests {
         assert!(parse("1e999").is_err()); // overflows to inf: rejected
         assert!(parse("nul").is_err());
         assert!(parse("\"unterminated").is_err());
+        // RFC 8259 numbers: no leading zeros, no bare '.', a digit on both
+        // sides of the point and in the exponent, no leading '+'.
+        for bad in [
+            "01", "-01", "1.", "1.e5", "-.5", ".5", "-", "+1", "1e", "1e+", "0x1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+        for (good, n) in [("0", 0.0), ("-0.5", -0.5), ("10", 10.0), ("1.5e-3", 1.5e-3)] {
+            assert_eq!(parse(good), Ok(Json::Num(n)), "{good:?}");
+        }
+        assert_eq!(parse("2E+2"), Ok(Json::Num(200.0)));
     }
 
     #[test]
@@ -303,6 +371,22 @@ mod tests {
         let v = parse(r#""a\nb\t\"c\" A ü""#).expect("parses");
         assert_eq!(v.as_str(), Some("a\nb\t\"c\" A ü"));
         assert_eq!(escape("a\nb\t\"c\""), r#"a\nb\t\"c\""#);
+
+        // A surrogate pair is one supplementary scalar.
+        let v = parse(r#""\ud83d\ude00 \u00e9""#).expect("parses");
+        assert_eq!(v.as_str(), Some("\u{1F600} \u{e9}"));
+        // Lone surrogates and short or non-hex escapes are rejected, with
+        // the position of the offending escape.
+        for (bad, at) in [
+            (r#""\ud800""#, 1),
+            (r#""x\ud800\u0041""#, 2),
+            (r#""\udc00""#, 1),
+            (r#""\ud83d\ude0""#, 7),
+            (r#""\u+123""#, 1),
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.ends_with(&format!("at byte {at}")), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! primitives on the in-repo [`timing`] harness. This library hosts the
 //! shared plumbing: the canonical pair and model lists as ready-to-run
 //! specs ([`pairs`]), design runners (sequential and [`sweep`]-parallel),
-//! single-tenant reference caching, and table formatting.
+//! single-tenant reference caching, table formatting, and the
+//! machine-readable `BENCH_*.json` artifacts ([`artifact`]).
 //!
 //! Knobs (environment variables, all optional):
 //!
@@ -17,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod jsonio;
 pub mod pairs;
 pub mod serving;

@@ -444,6 +444,10 @@ impl FleetConservation {
 }
 
 impl SimObserver for RuntimeAuditor {
+    /// Checks `event`. The match names every variant and may not grow a
+    /// `_` arm (clippy runs with `-D warnings` in CI), so a new `SimEvent`
+    /// variant does not compile until this match names it.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_event(&mut self, event: SimEvent) {
         self.events += 1;
         let at = event.at();

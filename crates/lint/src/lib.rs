@@ -2,7 +2,7 @@
 //! pass.
 //!
 //! See [`rules`] for the rule families (D1–D3, P1, and the semantic
-//! families U1/F1/O1/E1), [`parser`] for the expression-level analysis
+//! families U1/F1/O1), [`parser`] for the expression-level analysis
 //! they run on, [`workspace`] for the scope policy, and [`baseline`] for
 //! the ratchet. The binary front-end lives in `main.rs`; this library
 //! exposes the scanning and comparison machinery so the fixture
@@ -29,35 +29,13 @@ pub struct Outcome {
     pub counts: Baseline,
 }
 
-/// Scans every in-scope file under `root`. Two passes: the E1
-/// event-exhaustiveness findings are computed first (they need the event
-/// definition *and* the audit module together), then injected into the
-/// event-definition file's per-file scan so its inline allow directives
-/// and META hygiene apply to them like any local finding.
+/// Scans every in-scope file under `root`.
 pub fn scan_workspace(root: &Path) -> Result<Outcome, String> {
-    let files = workspace::enumerate(root)?;
-
-    let e1_extras = {
-        let observer_abs = root.join(workspace::EVENT_DEFINITION);
-        let audit_abs = root.join(workspace::AUDIT_MODULE);
-        match (
-            std::fs::read_to_string(&observer_abs),
-            std::fs::read_to_string(&audit_abs),
-        ) {
-            (Ok(observer_src), Ok(audit_src)) => {
-                rules::e1_findings(workspace::EVENT_DEFINITION, &observer_src, &audit_src)
-            }
-            // Fixture trees without the real sources simply have no E1.
-            _ => Vec::new(),
-        }
-    };
-
     let mut outcome = Outcome::default();
-    for f in &files {
+    for f in &workspace::enumerate(root)? {
         let src = std::fs::read_to_string(&f.abs)
             .map_err(|e| format!("reading {}: {e}", f.abs.display()))?;
-        let extra: &[Finding] = if f.scope.e1 { &e1_extras } else { &[] };
-        let findings = rules::scan_source_with(&f.rel, &src, f.scope, extra);
+        let findings = rules::scan_source(&f.rel, &src, f.scope);
         for finding in &findings {
             if finding.rule != RuleId::Meta {
                 *outcome

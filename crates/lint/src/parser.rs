@@ -1,8 +1,8 @@
 //! Expression-level analysis over the lexer's token stream.
 //!
 //! v10-lint v1 matched flat token patterns; the semantic rule families
-//! (U1 unit-safety, F1 float-determinism, O1 observer-purity, E1
-//! event-exhaustiveness) need *structure*: which `pub fn` has which typed
+//! (U1 unit-safety, F1 float-determinism, O1 observer-purity) need
+//! *structure*: which `pub fn` has which typed
 //! parameters under which doc comment, where an `impl Trait for Type`
 //! body starts and ends, what a comparator closure's body expression
 //! compares. This module supplies exactly that structure with two
@@ -11,8 +11,8 @@
 //! * an **item scanner** ([`ParsedFile::parse`]) that walks the token
 //!   stream once, brace-matching item bodies and attaching `///` doc
 //!   comments, producing public functions/constants/struct fields (with
-//!   type text), `impl` regions (with trait and type names), `enum`
-//!   variant tables, and a per-file `let`-binding symbol table;
+//!   type text), `impl` regions (with trait and type names), and a
+//!   per-file `let`-binding symbol table (it skips `pub enum` bodies);
 //! * a tolerant **Pratt expression parser** ([`ExprParser`]) used on
 //!   demand over small spans (comparator closure bodies, reduction
 //!   chains). It never panics and never gets stuck: any construct it does
@@ -106,17 +106,6 @@ pub struct ImplRegion {
     pub line: u32,
 }
 
-/// A `pub enum` with its variant table.
-#[derive(Debug, Clone)]
-pub struct EnumDecl {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line of the enum's name.
-    pub line: u32,
-    /// `(variant, line, col)` in declaration order.
-    pub variants: Vec<(String, u32, u32)>,
-}
-
 /// A `let` binding in the per-file symbol table.
 #[derive(Debug, Clone)]
 pub struct LetBinding {
@@ -146,8 +135,6 @@ pub struct ParsedFile {
     pub fields: Vec<FieldDecl>,
     /// `impl` regions with body spans.
     pub impls: Vec<ImplRegion>,
-    /// `pub enum`s with variant tables.
-    pub enums: Vec<EnumDecl>,
     /// `let` bindings (the symbol table for F1's float analysis).
     pub lets: Vec<LetBinding>,
 }
@@ -167,20 +154,8 @@ impl ParsedFile {
         out.consts = items.consts;
         out.fields = items.fields;
         out.impls = items.impls;
-        out.enums = items.enums;
         out.lets = items.lets;
         out
-    }
-
-    /// Indices (into `tokens`) of the non-comment tokens.
-    #[must_use]
-    pub fn code_indices(&self) -> Vec<usize> {
-        self.tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -221,7 +196,6 @@ struct Items {
     consts: Vec<ConstDecl>,
     fields: Vec<FieldDecl>,
     impls: Vec<ImplRegion>,
-    enums: Vec<EnumDecl>,
     lets: Vec<LetBinding>,
 }
 
@@ -268,7 +242,7 @@ fn scan_items(tokens: &[Token], src: &str) -> Items {
                         continue;
                     }
                     "enum" if is_pub => {
-                        let next = scan_enum(&mut out, &scanner, kw_i, i);
+                        let next = skip_enum(&scanner, kw_i);
                         i = next.max(i + 1);
                         continue;
                     }
@@ -643,14 +617,9 @@ fn scan_struct(out: &mut Items, sc: &ItemScanner, kw_i: usize, _doc_i: usize) ->
     close + 1
 }
 
-fn scan_enum(out: &mut Items, sc: &ItemScanner, kw_i: usize, _doc_i: usize) -> usize {
+/// Skips a `pub enum`'s body: variants carry no items the rules read.
+fn skip_enum(sc: &ItemScanner, kw_i: usize) -> usize {
     let code = &sc.code;
-    let Some((_, name_tok)) = code.get(kw_i + 1) else {
-        return kw_i + 1;
-    };
-    if name_tok.kind != TokKind::Ident {
-        return kw_i + 1;
-    }
     let mut j = kw_i + 2;
     if code.get(j).is_some_and(|(_, t)| t.text == "<") {
         j = skip_generics(code, j);
@@ -658,48 +627,7 @@ fn scan_enum(out: &mut Items, sc: &ItemScanner, kw_i: usize, _doc_i: usize) -> u
     if code.get(j).is_none_or(|(_, t)| t.text != "{") {
         return j;
     }
-    let close = matching(code, j, "{", "}");
-    let mut variants = Vec::new();
-    let mut k = j + 1;
-    let mut expect_variant = true;
-    while k < close {
-        let t = code[k].1;
-        if t.kind == TokKind::Punct && t.text == "#" {
-            if code.get(k + 1).is_some_and(|(_, n)| n.text == "[") {
-                k = matching(code, k + 1, "[", "]") + 1;
-                continue;
-            }
-            k += 1;
-            continue;
-        }
-        if expect_variant && t.kind == TokKind::Ident {
-            variants.push((t.text.clone(), t.line, t.col));
-            expect_variant = false;
-            k += 1;
-            continue;
-        }
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "," => expect_variant = true,
-                "{" => {
-                    k = matching(code, k, "{", "}") + 1;
-                    continue;
-                }
-                "(" => {
-                    k = matching(code, k, "(", ")") + 1;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        k += 1;
-    }
-    out.enums.push(EnumDecl {
-        name: name_tok.text.clone(),
-        line: name_tok.line,
-        variants,
-    });
-    close + 1
+    matching(code, j, "{", "}") + 1
 }
 
 fn scan_impl(out: &mut Items, sc: &ItemScanner, kw_i: usize) -> usize {
@@ -1392,7 +1320,7 @@ mod tests {
     fn consts_fields_enums_impls() {
         let src = "/// unit: ratio.\npub const EPS: f64 = 1e-6;\n\
                    pub struct S {\n    /// Cycle count.\n    pub c: u64,\n    private: f64,\n}\n\
-                   pub enum E { A, B(u8), C { x: u8 }, }\n\
+                   pub enum E { A = { let k = 1; k }, B(u8), C { x: u8 }, }\n\
                    impl SimObserver for S { fn on_event(&mut self) {} }\n";
         let p = ParsedFile::parse(src);
         assert_eq!(p.consts.len(), 1);
@@ -1401,9 +1329,8 @@ mod tests {
         assert_eq!(p.fields.len(), 1);
         assert_eq!(p.fields[0].name, "c");
         assert_eq!(p.fields[0].owner, "S");
-        let e = &p.enums[0];
-        let names: Vec<&str> = e.variants.iter().map(|(n, _, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["A", "B", "C"]);
+        // The enum body is skipped: its discriminant's `let` is no binding.
+        assert!(p.lets.is_empty());
         let im = p.impls.iter().find(|i| i.trait_name.is_some()).unwrap();
         assert_eq!(im.trait_name.as_deref(), Some("SimObserver"));
         assert_eq!(im.type_name, "S");

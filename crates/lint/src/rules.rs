@@ -25,7 +25,7 @@
 //! line or the line above (reason mandatory), or the committed
 //! `lint-baseline.toml` ratchet (see [`crate::baseline`]).
 
-use crate::lexer::{lex, TokKind, Token};
+use crate::lexer::{TokKind, Token};
 
 /// A rule family identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,8 +44,6 @@ pub enum RuleId {
     F1,
     /// Ambient I/O, wall-clock, or OS randomness inside `SimObserver` impls.
     O1,
-    /// `SimEvent` variants not counted and audited by the runtime checkers.
-    E1,
     /// Malformed `v10-lint:` directives (e.g. a missing reason).
     Meta,
 }
@@ -62,7 +60,6 @@ impl RuleId {
             RuleId::U1 => "U1",
             RuleId::F1 => "F1",
             RuleId::O1 => "O1",
-            RuleId::E1 => "E1",
             RuleId::Meta => "META",
         }
     }
@@ -78,7 +75,6 @@ impl RuleId {
             RuleId::U1 => "unit-safety",
             RuleId::F1 => "float-determinism",
             RuleId::O1 => "observer-purity",
-            RuleId::E1 => "event-exhaustiveness",
             RuleId::Meta => "directive-hygiene",
         }
     }
@@ -94,7 +90,6 @@ impl RuleId {
             "U1" => Some(RuleId::U1),
             "F1" => Some(RuleId::F1),
             "O1" => Some(RuleId::O1),
-            "E1" => Some(RuleId::E1),
             "META" => Some(RuleId::Meta),
             _ => None,
         }
@@ -125,9 +120,6 @@ pub struct Scope {
     pub f1: bool,
     /// Check `SimObserver` impl purity (all sim-path crates).
     pub o1: bool,
-    /// Check `SimEvent` exhaustiveness (the event-definition file only;
-    /// its findings are precomputed cross-file and passed as extras).
-    pub e1: bool,
 }
 
 impl Scope {
@@ -142,7 +134,6 @@ impl Scope {
             u1: true,
             f1: true,
             o1: true,
-            e1: true,
         }
     }
 }
@@ -258,21 +249,10 @@ const NON_INDEX_KEYWORDS: [&str; 20] = [
 /// suppresses, an unused or malformed one is itself a `META` finding).
 #[must_use]
 pub fn scan_source(file: &str, src: &str, scope: Scope) -> Vec<Finding> {
-    scan_source_with(file, src, scope, &[])
-}
-
-/// [`scan_source`] with precomputed cross-file findings (`extra`) merged in
-/// *before* the allow-directive pass, so inline `allow` directives and the
-/// unused-directive META check apply to them exactly as to local findings.
-/// E1's event-exhaustiveness findings (computed against the counter and
-/// audit sources by [`e1_findings`]) arrive this way.
-#[must_use]
-pub fn scan_source_with(file: &str, src: &str, scope: Scope, extra: &[Finding]) -> Vec<Finding> {
     let parsed = crate::parser::ParsedFile::parse(src);
     let tokens = &parsed.tokens;
     let test_lines = test_region_lines(tokens);
     let (mut allows, mut findings) = collect_allows(file, tokens);
-    findings.extend(extra.iter().cloned());
 
     let code: Vec<&Token> = tokens
         .iter()
@@ -845,65 +825,6 @@ fn o1_scan(
     }
 }
 
-/// E1 — event exhaustiveness. Every variant of the `pub enum SimEvent` in
-/// `observer_src` must (a) be referenced inside the
-/// `impl SimObserver for CounterObserver` body of the same file, and (b) be
-/// referenced somewhere in `audit_src` (the runtime auditor / conservation
-/// checkers). A variant missing either is an event the test spine silently
-/// ignores. Findings anchor at the variant's definition line so an inline
-/// `// v10-lint: allow(E1) <reason>` there can acknowledge intentionally
-/// unaudited variants.
-#[must_use]
-pub fn e1_findings(observer_rel: &str, observer_src: &str, audit_src: &str) -> Vec<Finding> {
-    let parsed = crate::parser::ParsedFile::parse(observer_src);
-    let Some(events) = parsed.enums.iter().find(|e| e.name == "SimEvent") else {
-        return Vec::new();
-    };
-
-    let counter_idents: std::collections::BTreeSet<&str> = parsed
-        .impls
-        .iter()
-        .filter(|r| {
-            r.trait_name.as_deref() == Some("SimObserver") && r.type_name == "CounterObserver"
-        })
-        .flat_map(|r| parsed.tokens[r.body_start..=r.body_end].iter())
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
-        .collect();
-
-    let audit_idents: std::collections::BTreeSet<String> = lex(audit_src)
-        .into_iter()
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text)
-        .collect();
-
-    let mut findings = Vec::new();
-    for (variant, line, col) in &events.variants {
-        let counted = counter_idents.contains(variant.as_str());
-        let audited = audit_idents.contains(variant);
-        if counted && audited {
-            continue;
-        }
-        let missing = match (counted, audited) {
-            (false, false) => "neither counted by CounterObserver nor validated in audit.rs",
-            (false, true) => "not counted by CounterObserver",
-            (true, false) => "not validated by the runtime auditors (audit.rs)",
-            (true, true) => unreachable!(),
-        };
-        findings.push(Finding {
-            rule: RuleId::E1,
-            file: observer_rel.to_string(),
-            line: *line,
-            col: *col,
-            message: format!(
-                "SimEvent::{variant} is {missing}; wire it into the spine or acknowledge \
-                 it with an allow directive"
-            ),
-        });
-    }
-    findings
-}
-
 /// Lines covered by `#[cfg(test)]` / `#[test]` items (the attribute through
 /// the item's closing brace). P1 exempts test code; the other rules do too —
 /// tests don't feed golden output.
@@ -1035,7 +956,7 @@ fn collect_allows(file: &str, tokens: &[Token]) -> (Vec<Allow>, Vec<Finding>) {
                 line: end_line,
                 col: t.col,
                 message: "malformed v10-lint directive; expected \
-                          `// v10-lint: allow(D1|D2|D3|P1|U1|F1|O1|E1) <reason>`"
+                          `// v10-lint: allow(D1|D2|D3|P1|U1|F1|O1) <reason>`"
                     .to_string(),
             }),
         }

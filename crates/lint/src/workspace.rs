@@ -20,9 +20,6 @@
 //!   `tests/`, and the `tests/` trees of sim-path crates. Example and
 //!   test drivers feed golden comparisons, so a NaN-unstable sort or an
 //!   impure observer there corrupts the spine just as surely.
-//! * **E1** (event exhaustiveness) is a cross-file check anchored at the
-//!   `SimEvent` definition (`crates/core/src/observer.rs`); it is computed
-//!   once per workspace scan against the counter and audit sources.
 //!
 //! Inline test code (`#[cfg(test)]` / `#[test]` regions) is exempt from
 //! every rule: tests may panic, and they never feed golden output.
@@ -82,14 +79,6 @@ pub struct SourceFile {
     pub scope: Scope,
 }
 
-/// The file that defines `pub enum SimEvent` and `CounterObserver` — the
-/// anchor for E1's cross-file exhaustiveness findings.
-pub const EVENT_DEFINITION: &str = "crates/core/src/observer.rs";
-
-/// The file holding the runtime auditors (`RuntimeAuditor`,
-/// `FleetConservation`) that E1 checks variant coverage against.
-pub const AUDIT_MODULE: &str = "crates/core/src/audit.rs";
-
 /// The scope for a repo-relative path, or `None` if the file is not
 /// scanned at all.
 #[must_use]
@@ -127,7 +116,6 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
         u1: d3,
         f1: sim_path || integration,
         o1: sim_path || integration,
-        e1: rel == EVENT_DEFINITION,
     })
 }
 
@@ -186,7 +174,7 @@ mod tests {
     fn scopes_match_policy() {
         let s = scope_for("crates/core/src/engine.rs").unwrap();
         assert!(s.d1 && s.d2 && s.p1 && !s.d3);
-        assert!(s.f1 && s.o1 && !s.u1 && !s.e1);
+        assert!(s.f1 && s.o1 && !s.u1);
 
         let s = scope_for("crates/npu/src/hbm.rs").unwrap();
         assert!(s.d1 && s.d2 && s.d3 && !s.p1);
@@ -207,7 +195,7 @@ mod tests {
 
         // Integration surface: determinism families only.
         let s = scope_for("crates/core/tests/context.rs").unwrap();
-        assert!(s.d1 && s.d2 && s.f1 && s.o1 && !s.d3 && !s.p1 && !s.u1 && !s.e1);
+        assert!(s.d1 && s.d2 && s.f1 && s.o1 && !s.d3 && !s.p1 && !s.u1);
         let s = scope_for("tests/golden_run.rs").unwrap();
         assert!(s.d1 && s.d2 && s.f1 && s.o1 && !s.p1 && !s.u1);
         let s = scope_for("examples/quickstart.rs").unwrap();
@@ -218,10 +206,6 @@ mod tests {
         assert!(s.d3 && s.u1);
         let s = scope_for("crates/sim/src/calendar.rs").unwrap();
         assert!(s.d3 && s.u1);
-
-        // E1 anchors at the event definition only.
-        assert!(scope_for(EVENT_DEFINITION).unwrap().e1);
-        assert!(!scope_for("crates/core/src/engine.rs").unwrap().e1);
 
         // The facade is sim-path for D1/D2.
         let s = scope_for("src/lib.rs").unwrap();

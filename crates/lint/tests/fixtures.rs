@@ -140,68 +140,6 @@ fn block_directive_suppresses_across_lines() {
     );
 }
 
-/// E1 drives on synthetic sources: a variant absent from the counter impl
-/// or the audit module is flagged at its definition line; full coverage is
-/// clean; an allow directive on the variant line acknowledges it.
-#[test]
-fn e1_flags_uncounted_and_unaudited_variants() {
-    let observer = "pub enum SimEvent {\n    OpIssued,\n    OpCompleted,\n    GhostEvent,\n}\n\
-                    pub struct CounterObserver;\n\
-                    impl SimObserver for CounterObserver {\n    \
-                    fn on_event(&mut self, e: &SimEvent) {\n        \
-                    match e {\n            \
-                    SimEvent::OpIssued => {}\n            \
-                    SimEvent::OpCompleted => {}\n            \
-                    _ => {}\n        }\n    }\n}\n";
-    let audit = "fn check() { let _ = (SimEvent::OpIssued, SimEvent::OpCompleted); }\n";
-
-    let findings = v10_lint::rules::e1_findings("obs.rs", observer, audit);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, RuleId::E1);
-    assert_eq!(findings[0].line, 4, "GhostEvent's definition line");
-    assert!(findings[0].message.contains("GhostEvent"));
-    assert!(findings[0].message.contains("neither"), "{findings:#?}");
-
-    // Counted but unaudited: message names the missing side.
-    let audit_missing = "fn check() { let _ = SimEvent::OpIssued; }\n";
-    let observer_counted = observer.replace("GhostEvent,\n", "");
-    let findings = v10_lint::rules::e1_findings("obs.rs", &observer_counted, audit_missing);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert!(findings[0].message.contains("audit"), "{findings:#?}");
-
-    // Full coverage is clean.
-    let findings = v10_lint::rules::e1_findings("obs.rs", &observer_counted, audit);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-/// E1 extras flow through the allow machinery: a directive on the variant
-/// definition line suppresses the finding, and an unused E1 directive is a
-/// META error.
-#[test]
-fn e1_findings_respect_allow_directives() {
-    let observer = "pub enum SimEvent {\n    \
-                    // v10-lint: allow(E1) fixture: diagnostic-only event, deliberately unaudited\n    \
-                    GhostEvent,\n}\n";
-    let audit = "fn check() {}\n";
-    let extras = v10_lint::rules::e1_findings("obs.rs", observer, audit);
-    assert_eq!(extras.len(), 1);
-
-    let scope = Scope {
-        e1: true,
-        ..Scope::default()
-    };
-    let findings = v10_lint::rules::scan_source_with("obs.rs", observer, scope, &extras);
-    assert!(
-        findings.is_empty(),
-        "allow(E1) on the variant line must suppress: {findings:#?}"
-    );
-
-    // Without the extra, the directive is unused — a META error.
-    let findings = v10_lint::rules::scan_source_with("obs.rs", observer, scope, &[]);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, RuleId::Meta);
-}
-
 /// The allow escape hatch suppresses the finding it covers; a directive
 /// covering nothing is itself reported (META), so stale hatches cannot
 /// accumulate.
