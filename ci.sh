@@ -54,7 +54,7 @@ V10_BENCH_SMOKE=1 \
     V10_BENCH_BASELINE="$PWD/BENCH_sim_throughput.json" \
     cargo bench -q -p v10-bench --bench sim_throughput > /dev/null
 
-echo "==> serving_fleet bench (smoke run: schema + 0.9x scan-reduction gate vs checked-in baseline)"
+echo "==> serving_fleet bench (smoke run: schema gate on the fresh run — equal rebuild scans at every shard count, <= 2 re-scores per placement — and on the checked-in baseline)"
 V10_BENCH_SMOKE=1 \
     V10_BENCH_THREADS=2 \
     V10_BENCH_JSON_OUT="$(mktemp -t serving_fleet.XXXXXX.json)" \

@@ -6,7 +6,7 @@
 
 use std::hint::black_box;
 
-use v10_bench::timing::{bench, fmt_duration};
+use v10_bench::timing::{bench, fmt_nanos};
 use v10_core::{
     run_design, ContextTable, Design, Policy, RunOptions, Scheduler, WorkloadId, WorkloadSpec,
 };
@@ -31,10 +31,10 @@ fn bench_pick_next() {
         }
         let mut sched = Scheduler::new(Policy::Priority);
         let t = bench(|| black_box(sched.pick_next(&table, FuKind::Sa, Cycles::new(1e6))));
-        println!("pick_next/priority/{n}: {}", fmt_duration(t));
+        println!("pick_next/priority/{n}: {}", fmt_nanos(t));
         let mut sched = Scheduler::new(Policy::RoundRobin);
         let t = bench(|| black_box(sched.pick_next(&table, FuKind::Sa, Cycles::new(1e6))));
-        println!("pick_next/round_robin/{n}: {}", fmt_duration(t));
+        println!("pick_next/round_robin/{n}: {}", fmt_nanos(t));
     }
 }
 
@@ -45,7 +45,7 @@ fn bench_water_filling() {
             .collect();
         let alloc = WaterFilling::new(471.4);
         let t = bench(|| black_box(alloc.allocate(&demands)));
-        println!("water_filling/{n}: {}", fmt_duration(t));
+        println!("water_filling/{n}: {}", fmt_nanos(t));
     }
 }
 
@@ -61,7 +61,7 @@ fn bench_sa_preemption() {
         sa.restore(ctx).expect("idle");
         black_box((cost, sa.run_to_completion()))
     });
-    println!("sa_preempt_restore_32x32: {}", fmt_duration(t));
+    println!("sa_preempt_restore_32x32: {}", fmt_nanos(t));
 }
 
 fn pair_specs() -> [WorkloadSpec; 2] {
@@ -83,7 +83,7 @@ fn bench_engine() {
     let cfg = NpuConfig::table5();
     let opts = RunOptions::new(5).expect("positive requests");
     let t = bench(|| black_box(run_design(Design::V10Full, &specs, &cfg, &opts)));
-    println!("v10_full_pair_run: {}", fmt_duration(t));
+    println!("v10_full_pair_run: {}", fmt_nanos(t));
     let _ = WorkloadId::new(0);
 }
 
@@ -104,8 +104,8 @@ fn bench_observer_overhead() {
     // the minimum is the standard noise-robust cost estimator for
     // microbenchmarks, and clock-frequency drift between two back-to-back
     // bench() calls is larger than the effect being measured.
-    let mut plain = std::time::Duration::MAX;
-    let mut counted = std::time::Duration::MAX;
+    let mut plain = f64::INFINITY;
+    let mut counted = f64::INFINITY;
     for _ in 0..9 {
         plain = plain.min(bench(|| {
             black_box(engine.run_observed(&specs, &opts, &mut NullObserver))
@@ -115,11 +115,11 @@ fn bench_observer_overhead() {
             black_box(engine.run_observed(&specs, &opts, &mut obs))
         }));
     }
-    let overhead = counted.as_secs_f64() / plain.as_secs_f64() - 1.0;
+    let overhead = counted / plain - 1.0;
     println!(
         "engine/no_observer: {}  engine/counter_observer: {}  overhead: {:+.1}%",
-        fmt_duration(plain),
-        fmt_duration(counted),
+        fmt_nanos(plain),
+        fmt_nanos(counted),
         overhead * 100.0
     );
     if overhead > 0.15 {

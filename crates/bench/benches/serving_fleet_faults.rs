@@ -11,7 +11,7 @@
 //!   shard count: arming the fault machinery with no faults must not move
 //!   a single bit of the report, the decisions, or the departure log.
 //! * `shard-crash` — shard 0 crashes on an epoch boundary mid-crowd and
-//!   restores from its boundary snapshot one epoch later. Blast radius
+//!   restores one epoch later, catching up from its pending list. Blast radius
 //!   (the cores steered dark) shrinks as shards get finer — the severity ×
 //!   shard interaction this bench exists to measure.
 //! * `region-blackout` — HBM group 0 fails during the crowd with its

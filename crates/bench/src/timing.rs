@@ -17,7 +17,7 @@ const BATCH_TARGET: Duration = Duration::from_millis(5);
 const BATCHES: usize = 9;
 
 /// Times one batch of `iters` calls.
-fn time_batch<R>(f: &mut impl FnMut() -> R, iters: u32) -> Duration {
+fn time_batch<R>(f: &mut impl FnMut() -> R, iters: u64) -> Duration {
     let start = Instant::now();
     for _ in 0..iters {
         std::hint::black_box(f());
@@ -25,24 +25,22 @@ fn time_batch<R>(f: &mut impl FnMut() -> R, iters: u32) -> Duration {
     start.elapsed()
 }
 
-/// Measures the median per-iteration time of `f`.
+/// Measures the median per-iteration time of `f`, in nanoseconds —
+/// fractional, so closures of a few ns (or less) are not rounded to whole
+/// nanoseconds.
 ///
-/// Calibrates the batch size by doubling until a batch exceeds
+/// Calibrates the batch size by doubling until a batch reaches
 /// `BATCH_TARGET` (5 ms), then samples `BATCHES` (9) batches and returns
 /// the median batch time divided by the batch size.
-pub fn bench<R>(mut f: impl FnMut() -> R) -> Duration {
+pub fn bench<R>(mut f: impl FnMut() -> R) -> f64 {
     // Calibrate: double iters until the batch is long enough to time.
-    let mut iters: u32 = 1;
-    loop {
-        let t = time_batch(&mut f, iters);
-        if t >= BATCH_TARGET || iters >= 1 << 20 {
-            break;
-        }
+    let mut iters: u64 = 1;
+    while time_batch(&mut f, iters) < BATCH_TARGET {
         iters *= 2;
     }
     let mut samples: Vec<Duration> = (0..BATCHES).map(|_| time_batch(&mut f, iters)).collect();
     samples.sort_unstable();
-    samples[BATCHES / 2] / iters
+    samples[BATCHES / 2].as_nanos() as f64 / iters as f64
 }
 
 /// Wall-times a single call of `f`, returning its result and the elapsed
@@ -96,18 +94,18 @@ pub fn fmt_cycles_per_sec(rate: f64) -> String {
     }
 }
 
-/// Formats a per-iteration duration with an adaptive unit (ns/µs/ms/s).
+/// Formats a per-iteration time in nanoseconds (as [`bench()`] returns
+/// it) with an adaptive unit (ns/µs/ms/s).
 #[must_use]
-pub fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
+pub fn fmt_nanos(ns: f64) -> String {
+    if ns < 1e3 {
+        format!("{ns:.2} ns")
+    } else if ns < 1e6 {
+        format!("{:.2} µs", ns / 1e3)
+    } else if ns < 1e9 {
+        format!("{:.2} ms", ns / 1e6)
     } else {
-        format!("{:.2} s", ns as f64 / 1e9)
+        format!("{:.2} s", ns / 1e9)
     }
 }
 
@@ -117,16 +115,18 @@ mod tests {
 
     #[test]
     fn bench_returns_positive_time() {
-        let t = bench(|| std::hint::black_box((0..100u64).sum::<u64>()));
-        assert!(t > Duration::ZERO);
+        // The bound is opaque, so the sum cannot be folded to a constant.
+        let t = bench(|| (0..std::hint::black_box(100u64)).sum::<u64>());
+        assert!(t > 0.0);
     }
 
     #[test]
-    fn duration_formatting_picks_units() {
-        assert_eq!(fmt_duration(Duration::from_nanos(12)), "12 ns");
-        assert_eq!(fmt_duration(Duration::from_nanos(12_340)), "12.34 µs");
-        assert_eq!(fmt_duration(Duration::from_millis(3)), "3.00 ms");
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00 s");
+    fn nanos_formatting_picks_units() {
+        assert_eq!(fmt_nanos(0.37), "0.37 ns");
+        assert_eq!(fmt_nanos(12.0), "12.00 ns");
+        assert_eq!(fmt_nanos(12_340.0), "12.34 µs");
+        assert_eq!(fmt_nanos(3.0e6), "3.00 ms");
+        assert_eq!(fmt_nanos(2.0e9), "2.00 s");
     }
 
     #[test]

@@ -104,9 +104,9 @@ fn rejects_a_wrong_marker_or_schema_version() {
     assert!(err.contains("want \"v10-adversary/1\""), "{err}");
 
     let err = rejection(&SERVING_FLEET, |d| {
-        obj(d).insert("schema_version".into(), Json::Num(2.0))
+        obj(d).insert("schema_version".into(), Json::Num(1.0))
     });
-    assert!(err.contains("schema_version 2 != 1"), "{err}");
+    assert!(err.contains("schema_version 1 != 2"), "{err}");
 }
 
 #[test]
@@ -163,9 +163,31 @@ fn each_bench_check_rejects_its_violation() {
     let err = rejection(&SERVING_FLEET, |d| set_headline(d, "shards", 8.0));
     assert_eq!(err, "headline shards 8 != 4");
     let err = rejection(&SERVING_FLEET, |d| {
-        set_headline(d, "scan_reduction_vs_1shard", 1.0)
+        point(d, 2).insert("rebuild_core_scans".into(), Json::Num(131_840.0))
     });
-    assert!(err.contains("scan_reduction_vs_1shard 1 <= 1"), "{err}");
+    assert!(
+        err.starts_with("points[2]: rebuild_core_scans 131840 != "),
+        "{err}"
+    );
+    let err = rejection(&SERVING_FLEET, |d| {
+        point(d, 0).insert("rescans_per_placement".into(), Json::Num(0.5))
+    });
+    assert!(
+        err.contains("points[0]: rescans_per_placement 0.5 != (rebuild_core_scans"),
+        "{err}"
+    );
+    // A return to one full-fleet rescan per arrival: 1024 cores x 512
+    // placements, the same at every shard count.
+    let err = rejection(&SERVING_FLEET, |d| {
+        for i in 0..4 {
+            point(d, i).insert("rebuild_core_scans".into(), Json::Num(524_288.0));
+            point(d, i).insert("rescans_per_placement".into(), Json::Num(1022.0));
+        }
+    });
+    assert!(
+        err.contains("points[0]: rescans_per_placement 1022 > 2"),
+        "{err}"
+    );
 
     let err = rejection(&FLEET_FAULTS, |d| {
         point(d, 3).insert("severity".into(), Json::Str("meltdown".into()))

@@ -2,22 +2,28 @@
 //! ≥1000-core fleet, partitioned into per-shard admission workers that
 //! exchange state deterministically at epoch boundaries.
 //!
-//! # Why sharding helps even on one thread
+//! # The placement index
 //!
-//! The flat [`OnlinePlacer`] ranking is an argmax over every core: each arrival
-//! rescans the fleet. The fleet plane decomposes that argmax. Cores are
-//! partitioned into fixed contiguous shards ([`ShardMap`]); each shard's
-//! admission worker keeps a summary table of its best candidate core per
-//! (behavior class, home HBM group) pair. An admit or release touches exactly
-//! one core, so it invalidates exactly one worker's table; the next placement
-//! query rebuilds only the dirty tables — a rescan of `cores / shards` cores
-//! instead of `cores` — and takes the argmax over the `shards` table entries.
-//! Because a core's score is a pure function of its own occupancy (plus static
-//! topology), and every scan keeps the incumbent on ties, the decomposed argmax
-//! picks the *identical* core the flat scan would: finer sharding changes the
-//! work done, never the answer. The per-arrival placement cost drops by roughly
-//! the shard count, which is where the fleet bench's wall-clock speedup comes
-//! from — no threads required.
+//! The flat [`OnlinePlacer`] ranking is an argmax over every core: scanned
+//! anew, each arrival would re-score the whole fleet. The fleet
+//! plane keeps that argmax incrementally instead. Cores are partitioned
+//! into fixed contiguous shards ([`ShardMap`]); each shard's admission
+//! worker keeps one tournament tree per (behavior class, home HBM group)
+//! over the cores it owns, whose nodes hold the index of their subtree's
+//! best core. An admit, a release or a core failure changes exactly one
+//! core's occupancy, so it queues that core on its owner's pending list;
+//! before the next placement query the worker re-scores each pending core
+//! once per tree and replays its leaf-to-root path — O(log cores) work
+//! instead of a rescan. The query takes the argmax over the live shards'
+//! tree roots.
+//!
+//! A core's score is a pure function of its own occupancy (plus static
+//! topology), and [`TopoScore::cmp_key`] with the lowest-index tie-break
+//! is a total order, so every root is exactly its range's argmax and the
+//! decomposed argmax picks the *identical* core the flat scan would. The
+//! re-score work is the same at any shard count — one build of the fleet,
+//! then one re-score per touched core — so shards are a layout and
+//! fault-domain boundary, not a lever on placement cost.
 //!
 //! # Determinism across shard and thread counts
 //!
@@ -32,8 +38,8 @@
 //! an admission the plane made ([`FleetOutcome::engine_rejections`] stays
 //! zero). Dirty cores are re-simulated through the workspace's
 //! input-order scatter-back parallel map, so the [`ClusterServeReport`] is
-//! byte-identical across 1/2/4/8 shards and any worker-thread count; only
-//! the [`FleetOutcome`] scan counters depend on the shard layout.
+//! byte-identical across 1/2/4/8 shards and any worker-thread count, and
+//! so are the [`FleetOutcome`]'s counters on a disarmed run.
 //!
 //! # Fleet fault domains
 //!
@@ -44,12 +50,12 @@
 //! arrival stream alone.
 //!
 //! * **Shard crash / restore** ([`FleetFaultKind::ShardCrash`]): the
-//!   shard's admission worker goes dark — its summary table is lost and
-//!   the decomposed argmax skips it, steering the crash epoch's arrivals
-//!   onto surviving shards (the cores it owns keep serving: the data plane
-//!   outlives its control plane). At the next processed boundary the
-//!   worker restores from the snapshot taken at the last boundary it was
-//!   alive for and replays the delta with one dirty rebuild.
+//!   shard's admission worker goes dark — the decomposed argmax and the
+//!   index updates skip it, steering the crash epoch's arrivals onto
+//!   surviving shards (the cores it owns keep serving: the data plane
+//!   outlives its control plane). Changes to its cores still queue on its
+//!   pending list, so at the next processed boundary the restored worker
+//!   catches up by re-scoring them before its next query.
 //! * **Region failure** ([`FleetFaultKind::RegionFail`]): every core in
 //!   one HBM affinity group fails together. Each core's engine history is
 //!   truncated once with a scripted `CoreRetire` at the boundary and then
@@ -77,7 +83,7 @@ use v10_core::{
     OverloadController, RunOptions, RunReport, SimEvent, SimObserver, WorkloadSpec,
 };
 use v10_npu::{ClusterState, FleetTopology, NpuConfig};
-use v10_sim::convert::{u64_from_usize, u64_to_f64, usize_to_f64};
+use v10_sim::convert::{u32_from_usize, u64_from_usize, u64_to_f64, usize_from_u32, usize_to_f64};
 use v10_sim::{
     merge_messages, Cycles, DepartureMsg, EpochClock, FaultKind, FaultPlan, FleetFaultEvent,
     FleetFaultKind, FleetFaultPlan, LabelId, LabelInterner, ShardMap, V10Error, V10Result,
@@ -93,25 +99,180 @@ use crate::recovery::{ClusterServeReport, RecoveryPolicy, RequeueRecord, ShedRec
 /// bandwidth).
 const EVAC_IMAGE_BYTES: f64 = 67_108_864.0;
 
-/// One shard's admission worker: the per-(class, home-group) best-candidate
-/// summary over the cores the shard owns, plus a dirty bit set whenever any
-/// owned core's occupancy changes.
+/// An empty tournament-tree node: no admissible core in its subtree.
+const NO_CORE: u32 = u32::MAX;
+
+/// One tournament entrant: a core and its score.
+type Entrant = Option<(TopoScore, usize)>;
+
+/// One shard's admission worker: a tournament tree per (behavior class,
+/// home HBM group) over the contiguous core range the shard owns, plus the
+/// owned cores whose occupancy changed since the trees were last replayed.
+///
+/// Each tree is heap-ordered: node `k` has children `2k` and `2k + 1`,
+/// node 1 is the root, and nodes `len..2·len` are the leaves, standing
+/// for the cores `base..base + len` (for one core the leaf is the root).
+/// Only the internal nodes `1..len` are stored, each as the core index of
+/// its subtree's winner, or [`NO_CORE`]; a leaf is its own core, and
+/// every score is recomputed when it is compared. The winner is the best
+/// [`TopoScore`], ties to the lowest core index — a total order, so the
+/// root is the range's argmax whatever the tree's shape.
 #[derive(Debug, Clone)]
 struct ShardWorker {
-    /// `best[class * groups + group]` = the shard's best admissible core
-    /// for that (class, home group), lowest core index on ties.
-    best: Vec<Option<(TopoScore, usize)>>,
-    dirty: bool,
+    base: usize,
+    len: usize,
+    /// `nodes[tree · len + k]` for internal node `k`, with
+    /// `tree = class · groups + group` (slot 0 of each tree is unused).
+    nodes: Vec<u32>,
+    /// Every tree must be built in full (a plane that never placed).
+    unbuilt: bool,
+    /// Owned cores to re-score before the next query, each listed once.
+    pending: Vec<usize>,
+    /// `queued[core - base]`: `core` is in `pending`.
+    queued: Vec<bool>,
 }
 
-/// Deterministic, shard-layout-dependent work counters from one
-/// [`FleetPlane::serve`] run.
+impl ShardWorker {
+    fn new(range: std::ops::Range<usize>, trees: usize) -> Self {
+        let len = range.len();
+        ShardWorker {
+            base: range.start,
+            len,
+            nodes: vec![NO_CORE; trees * len],
+            unbuilt: true,
+            pending: Vec::new(),
+            queued: vec![false; len],
+        }
+    }
+
+    /// Queues an owned core for re-scoring.
+    fn queue(&mut self, core: usize) {
+        let slot = &mut self.queued[core - self.base];
+        if !*slot {
+            *slot = true;
+            self.pending.push(core);
+        }
+    }
+
+    /// The core node `k` of tree `tree` holds: a leaf's own core, or an
+    /// internal node's stored winner.
+    fn node(&self, tree: usize, k: usize) -> Option<usize> {
+        if k >= self.len {
+            return Some(self.base + k - self.len);
+        }
+        let core = self.nodes[tree * self.len + k];
+        (core != NO_CORE).then(|| usize_from_u32(core))
+    }
+
+    /// The root of tree `tree`: the owned range's best core, if any. A
+    /// one-core range's root is its leaf, whose core may not be
+    /// admissible; the caller scores it either way.
+    fn winner(&self, tree: usize) -> Option<usize> {
+        self.node(tree, 1)
+    }
+
+    fn set(&mut self, tree: usize, k: usize, winner: Entrant) {
+        self.nodes[tree * self.len + k] = winner.map_or(NO_CORE, |(_, c)| u32_from_usize(c));
+    }
+
+    /// Brings every tree up to date, clears the pending list, and returns
+    /// the cores re-scored: the whole range if the trees were never built,
+    /// otherwise each pending core once per tree. `score(tree, core)` scores `core` for tree
+    /// `tree`; `scores` is a reusable buffer.
+    fn update(
+        &mut self,
+        trees: usize,
+        scores: &mut Vec<Entrant>,
+        score: &mut impl FnMut(usize, usize) -> V10Result<Option<TopoScore>>,
+    ) -> V10Result<usize> {
+        let rescored = if self.unbuilt {
+            for tree in 0..trees {
+                self.build(tree, scores, &mut |core| score(tree, core))?;
+            }
+            self.unbuilt = false;
+            self.len
+        } else {
+            for tree in 0..trees {
+                for i in 0..self.pending.len() {
+                    let core = self.pending[i];
+                    self.replay(tree, core, &mut |c| score(tree, c))?;
+                }
+            }
+            self.pending.len()
+        };
+        for core in self.pending.drain(..) {
+            self.queued[core - self.base] = false;
+        }
+        Ok(rescored)
+    }
+
+    /// Builds tree `tree` bottom-up, scoring every owned core once.
+    /// `scores` is a buffer reused across trees.
+    fn build(
+        &mut self,
+        tree: usize,
+        scores: &mut Vec<Entrant>,
+        score: &mut impl FnMut(usize) -> V10Result<Option<TopoScore>>,
+    ) -> V10Result<()> {
+        let n = self.len;
+        scores.clear();
+        scores.resize(2 * n, None);
+        for i in 0..n {
+            let core = self.base + i;
+            scores[n + i] = score(core)?.map(|s| (s, core));
+        }
+        for k in (1..n).rev() {
+            scores[k] = better(scores[2 * k], scores[2 * k + 1]);
+            self.set(tree, k, scores[k]);
+        }
+        Ok(())
+    }
+
+    /// Re-scores `core` in tree `tree` and replays its leaf-to-root path,
+    /// re-scoring each sibling's core to compare against it.
+    fn replay(
+        &mut self,
+        tree: usize,
+        core: usize,
+        score: &mut impl FnMut(usize) -> V10Result<Option<TopoScore>>,
+    ) -> V10Result<()> {
+        let mut k = self.len + core - self.base;
+        let mut carry = score(core)?.map(|s| (s, core));
+        while k > 1 {
+            if let Some(c) = self.node(tree, k ^ 1) {
+                carry = better(carry, score(c)?.map(|s| (s, c)));
+            }
+            k /= 2;
+            self.set(tree, k, carry);
+        }
+        Ok(())
+    }
+}
+
+/// The tournament's match: the higher score wins, ties go to the lower
+/// core index, and an absent entrant always loses.
+fn better(a: Entrant, b: Entrant) -> Entrant {
+    match (a, b) {
+        (Some((sa, ca)), Some((sb, cb))) => {
+            if sa.cmp_key(&sb).then(cb.cmp(&ca)) == std::cmp::Ordering::Greater {
+                a
+            } else {
+                b
+            }
+        }
+        (None, _) => b,
+        (_, None) => a,
+    }
+}
+
+/// Deterministic work and fault counters from one [`FleetPlane::serve`]
+/// run.
 ///
 /// Everything observable about the *serving outcome* lives in the
-/// byte-identical [`ClusterServeReport`]; this struct carries the
-/// telemetry that legitimately varies with the shard layout (how many
-/// cores the table rebuilds scanned) alongside shard-independent
-/// conservation counters the fleet auditor checks.
+/// byte-identical [`ClusterServeReport`]; this struct carries the plane's
+/// own telemetry (how many cores the placement index re-scored, the fault
+/// application logs) alongside the conservation counters the fleet
+/// auditor checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
     shards: usize,
@@ -164,11 +325,12 @@ impl FleetOutcome {
         self.rejected
     }
 
-    /// Cores scanned by summary-table rebuilds — the plane's dominant
-    /// placement cost. This counter is the *only* shard-layout-dependent
-    /// observable: at one shard every admission triggers a full-fleet
-    /// rescan, at `S` shards a `cores / S` rescan, which is the measured
-    /// scaling mechanism of the fleet bench.
+    /// Cores re-scored by the placement index: every core once when the
+    /// index is first built, then each core an admit, a release or a core
+    /// failure touched, once per index update. On a disarmed run it is
+    /// the same at every shard count and at most
+    /// `cores + placed + released` (a crashed shard's deferred updates can
+    /// coalesce, so a shard crash may lower it).
     #[must_use]
     pub fn rebuild_core_scans(&self) -> u64 {
         self.rebuild_core_scans
@@ -274,17 +436,14 @@ struct FleetTenant {
 }
 
 /// Mutable fault-domain state one faulted serve threads through its epoch
-/// loop: the compiled plan cursor, per-shard crash flags and boundary
-/// snapshots, per-group link-health shadows, and the recovery ledger.
+/// loop: the compiled plan cursor, per-shard crash flags, per-group
+/// link-health shadows, and the recovery ledger.
 struct FaultDomains {
     events: Vec<FleetFaultEvent>,
     cursor: usize,
-    /// Crashed-shard flags; a crashed worker is skipped by table rebuilds
+    /// Crashed-shard flags; a crashed worker is skipped by index updates
     /// and placement queries until its boundary restore.
     crashed: Vec<bool>,
-    /// Per-shard summary-table snapshot from the last boundary the shard
-    /// was alive for — what a restore replays from.
-    snapshots: Vec<Vec<Option<(TopoScore, usize)>>>,
     /// Simulated time each group's partition window closes
     /// (`NEG_INFINITY` when never partitioned).
     partition_until: Vec<f64>,
@@ -335,17 +494,19 @@ impl<'a> FleetPlane<'a> {
         weights: TopologyWeights,
     ) -> V10Result<Self> {
         let shard_map = ShardMap::new(topology.cores(), shards)?;
+        if u32::try_from(topology.cores()).map_or(true, |cores| cores == NO_CORE) {
+            return Err(V10Error::invalid(
+                "FleetPlane::new",
+                format!("{} cores exceed the placement index", topology.cores()),
+            ));
+        }
         let clock = EpochClock::new(epoch_cycles)?;
         let groups = topology.groups();
         let state = ClusterState::with_topology(topology, slots_per_core)?;
         let classes = placer.pipeline().clusters();
-        let workers = vec![
-            ShardWorker {
-                best: vec![None; classes * groups],
-                dirty: true,
-            };
-            shards
-        ];
+        let workers = (0..shards)
+            .map(|shard| ShardWorker::new(shard_map.range(shard), classes * groups))
+            .collect();
         Ok(FleetPlane {
             placer,
             state,
@@ -394,71 +555,64 @@ impl<'a> FleetPlane<'a> {
         self.weights
     }
 
-    /// Rebuilds every dirty live worker's summary table and returns the
-    /// cores scanned doing so. Crashed workers stay stale until their
-    /// boundary restore marks them dirty again.
+    /// Brings every live worker's trees up to date and returns the cores
+    /// re-scored doing so. Crashed workers keep their pending lists and
+    /// catch up after their boundary restore.
     fn rebuild_dirty(&mut self, crashed: &[bool]) -> V10Result<u64> {
-        let mut scanned = 0u64;
-        for (shard, &down) in crashed.iter().enumerate() {
-            if down || !self.workers[shard].dirty {
-                continue;
-            }
-            let range = self.shard_map.range(shard);
-            scanned += u64_from_usize(range.len());
-            let mut best: Vec<Option<(TopoScore, usize)>> = vec![None; self.classes * self.groups];
-            for core in range {
-                for class in 0..self.classes {
-                    for group in 0..self.groups {
-                        let Some(score) = self.placer.topo_score(
-                            class,
-                            core,
-                            &self.state,
-                            group,
-                            &self.weights,
-                        )?
-                        else {
-                            continue;
-                        };
-                        let slot = &mut best[class * self.groups + group];
-                        if slot.is_none_or(|(incumbent, _)| score.beats(&incumbent)) {
-                            *slot = Some((score, core));
-                        }
-                    }
-                }
-            }
-            let worker = &mut self.workers[shard];
-            worker.best = best;
-            worker.dirty = false;
+        let groups = self.groups;
+        let trees = self.classes * groups;
+        let mut score = |tree: usize, core: usize| {
+            self.placer.topo_score(
+                tree / groups,
+                core,
+                &self.state,
+                tree % groups,
+                &self.weights,
+            )
+        };
+        let mut scores = Vec::new();
+        let mut rescored = 0;
+        for (worker, _) in self
+            .workers
+            .iter_mut()
+            .zip(crashed)
+            .filter(|(_, &down)| !down)
+        {
+            rescored += worker.update(trees, &mut scores, &mut score)?;
         }
-        Ok(scanned)
+        Ok(u64_from_usize(rescored))
     }
 
-    /// The decomposed argmax: best summary entry across live shards in
+    /// The decomposed argmax: the best tree root across live shards in
     /// shard order, incumbent kept on ties. Shards own ascending core
     /// ranges, so this picks exactly the core a flat
     /// lowest-index-tie-break scan ([`OnlinePlacer::place_class_topo`])
     /// would. Crashed shards are skipped — their blast radius is the
     /// arrivals their cores would have won.
-    fn query(&self, class: usize, group: usize, crashed: &[bool]) -> Placement {
-        let mut best: Option<(TopoScore, usize)> = None;
-        for (shard, worker) in self.workers.iter().enumerate() {
-            if crashed[shard] {
+    fn query(&self, class: usize, group: usize, crashed: &[bool]) -> V10Result<Placement> {
+        let tree = class * self.groups + group;
+        let mut best: Entrant = None;
+        for (worker, _) in self.workers.iter().zip(crashed).filter(|(_, &down)| !down) {
+            let Some(core) = worker.winner(tree) else {
                 continue;
-            }
-            let Some((score, core)) = worker.best[class * self.groups + group] else {
+            };
+            let Some(score) =
+                self.placer
+                    .topo_score(class, core, &self.state, group, &self.weights)?
+            else {
                 continue;
             };
             if best.is_none_or(|(incumbent, _)| score.beats(&incumbent)) {
                 best = Some((score, core));
             }
         }
-        best.map_or(Placement::Reject, |(_, core)| Placement::Core(core))
+        Ok(best.map_or(Placement::Reject, |(_, core)| Placement::Core(core)))
     }
 
-    /// Marks the worker owning `core` dirty.
+    /// Queues `core` for re-scoring on the worker that owns it.
     fn invalidate(&mut self, core: usize) -> V10Result<()> {
         let owner = self.shard_map.owner(core)?;
-        self.workers[owner].dirty = true;
+        self.workers[owner].queue(core);
         Ok(())
     }
 
@@ -487,9 +641,8 @@ impl<'a> FleetPlane<'a> {
             }
             t.released = true;
             self.state.release(t.core, t.class)?;
-            let owner = self.shard_map.owner(t.core)?;
-            self.workers[owner].dirty = true;
-            streams[owner].push(DepartureMsg {
+            self.invalidate(t.core)?;
+            streams[self.shard_map.owner(t.core)?].push(DepartureMsg {
                 at_cycles: Cycles::new(retired_at),
                 core: t.core,
                 label: t.label,
@@ -505,7 +658,7 @@ impl<'a> FleetPlane<'a> {
     /// plane bookkeeping and hardware state agree.
     ///
     /// The returned report is byte-identical across shard counts and
-    /// worker-thread counts; the outcome carries the layout-dependent work
+    /// worker-thread counts; the outcome carries the plane's work
     /// counters. This is exactly
     /// [`serve_faulted_observed`](Self::serve_faulted_observed) under the
     /// empty [`FleetFaultPlan`] with no observer — the fault path shares
@@ -588,7 +741,6 @@ impl<'a> FleetPlane<'a> {
             events,
             cursor: 0,
             crashed: vec![false; self.shard_map.shards()],
-            snapshots: vec![Vec::new(); self.shard_map.shards()],
             partition_until: vec![f64::NEG_INFINITY; self.groups],
             degrade: vec![1.0; self.groups],
             requeued: Vec::new(),
@@ -631,7 +783,7 @@ impl<'a> FleetPlane<'a> {
                 // Crashed workers come back first: a crash is visible for
                 // exactly the remainder of its crash epoch.
                 self.heal_links(boundary.as_f64(), &fd)?;
-                self.restore_crashed_shards(boundary, &mut fd, &mut outcome, observer);
+                Self::restore_crashed_shards(boundary, &mut fd, &mut outcome, observer);
             }
 
             // Epoch boundary: exchange departures across shards and free
@@ -654,13 +806,6 @@ impl<'a> FleetPlane<'a> {
                     &mut outcome,
                     observer,
                 )?;
-                // Live workers snapshot their tables at every boundary —
-                // what the next crash in this epoch would restore from.
-                for shard in 0..self.workers.len() {
-                    if !fd.crashed[shard] {
-                        fd.snapshots[shard] = self.workers[shard].best.clone();
-                    }
-                }
             }
 
             // Place this epoch's arrivals in time order.
@@ -674,7 +819,7 @@ impl<'a> FleetPlane<'a> {
                 // of the shard layout.
                 let group = i % self.groups;
                 outcome.rebuild_core_scans += self.rebuild_dirty(&fd.crashed)?;
-                let placement = self.query(class, group, &fd.crashed);
+                let placement = self.query(class, group, &fd.crashed)?;
                 let decision = outcome.decisions.len();
                 outcome.decisions.push(AdmissionDecision {
                     label: arrival.label().to_string(),
@@ -802,30 +947,21 @@ impl<'a> FleetPlane<'a> {
         Ok(())
     }
 
-    /// Brings every crashed shard worker back at `boundary`: its table is
-    /// reset to the last snapshot and marked dirty, so the next rebuild
-    /// replays the admissions and departures it missed.
+    /// Brings every crashed shard worker back at `boundary`. Its trees
+    /// froze at the crash and the changes it missed wait on its pending
+    /// list, so the next index update catches it up.
     fn restore_crashed_shards<O: SimObserver>(
-        &mut self,
         boundary: Cycles,
         fd: &mut FaultDomains,
         outcome: &mut FleetOutcome,
         observer: &mut O,
     ) {
         let now = boundary.as_f64();
-        for shard in 0..self.workers.len() {
-            if !fd.crashed[shard] {
+        for (shard, down) in fd.crashed.iter_mut().enumerate() {
+            if !*down {
                 continue;
             }
-            fd.crashed[shard] = false;
-            let snapshot = if fd.snapshots[shard].is_empty() {
-                vec![None; self.classes * self.groups]
-            } else {
-                fd.snapshots[shard].clone()
-            };
-            let worker = &mut self.workers[shard];
-            worker.best = snapshot;
-            worker.dirty = true;
+            *down = false;
             outcome.shard_restore_log.push((shard, now));
             observer.on_event(SimEvent::ShardRestored { shard, at: now });
         }
@@ -861,12 +997,6 @@ impl<'a> FleetPlane<'a> {
                         continue;
                     }
                     fd.crashed[shard] = true;
-                    // The live table dies with the worker; the snapshot
-                    // taken at the last boundary survives for the restore.
-                    let lost = vec![None; self.classes * self.groups];
-                    let worker = &mut self.workers[shard];
-                    worker.best = lost;
-                    worker.dirty = true;
                     outcome.shard_crash_log.push((shard, now));
                     observer.on_event(SimEvent::ShardCrashed { shard, at: now });
                 }
@@ -1053,7 +1183,7 @@ impl<'a> FleetPlane<'a> {
             }
             self.heal_links(at, fd)?;
             outcome.rebuild_core_scans += self.rebuild_dirty(&fd.crashed)?;
-            match self.query(class, group, &fd.crashed) {
+            match self.query(class, group, &fd.crashed)? {
                 Placement::Core(to_core) => {
                     self.state.admit(to_core, class)?;
                     self.invalidate(to_core)?;
@@ -1309,23 +1439,202 @@ mod tests {
     }
 
     #[test]
-    fn finer_sharding_scans_fewer_cores() {
+    fn rescore_work_is_identical_across_shards_and_bounded() {
         let p = pipeline();
         let arrivals = arrivals();
         let opts = RunOptions::new(1).unwrap();
         let cfg = NpuConfig::table5();
-        let scans = |shards: usize| {
-            let (_, o) = plane(&p, shards, 1)
+        let run = |shards: usize| {
+            plane(&p, shards, 1)
                 .serve(&arrivals, Design::V10Full, &cfg, &opts)
-                .unwrap();
-            o.rebuild_core_scans()
+                .unwrap()
+                .1
         };
-        let one = scans(1);
-        let four = scans(4);
-        assert!(
-            four < one,
-            "4-shard rebuilds ({four}) must scan fewer cores than 1-shard ({one})"
-        );
+        let one = run(1);
+        // One build of the 8-core mesh, then one re-score per core an
+        // admit or a release touched.
+        let bound = 8 + one.placed() + one.departures().len();
+        let scans = usize::try_from(one.rebuild_core_scans()).unwrap();
+        assert!(scans <= bound, "{scans} re-scores > {bound}");
+        for shards in [2, 4, 8] {
+            let o = run(shards);
+            assert_eq!(o.rebuild_core_scans(), one.rebuild_core_scans());
+            assert_eq!(o.decisions(), one.decisions());
+        }
+    }
+
+    /// The flat lowest-index scan over the live shards' cores — the
+    /// reference the index's decomposed argmax must reproduce.
+    fn flat_pick(
+        plane: &FleetPlane<'_>,
+        class: usize,
+        group: usize,
+        crashed: &[bool],
+    ) -> Placement {
+        let mut best: Entrant = None;
+        for core in 0..plane.state.cores() {
+            if crashed[plane.shard_map.owner(core).unwrap()] {
+                continue;
+            }
+            let score = plane
+                .placer
+                .topo_score(class, core, &plane.state, group, &plane.weights)
+                .unwrap();
+            if let Some(score) = score {
+                if best.is_none_or(|(b, _)| score.beats(&b)) {
+                    best = Some((score, core));
+                }
+            }
+        }
+        best.map_or(Placement::Reject, |(_, core)| Placement::Core(core))
+    }
+
+    /// Updates the index and checks every (class, group) pick against
+    /// [`flat_pick`] (and, with no shard down, against
+    /// [`OnlinePlacer::place_class_topo`]). Returns the cores re-scored.
+    fn check_index(plane: &mut FleetPlane<'_>, crashed: &[bool]) -> u64 {
+        let rescored = plane.rebuild_dirty(crashed).unwrap();
+        for class in 0..plane.classes {
+            for group in 0..plane.groups {
+                let picked = plane.query(class, group, crashed).unwrap();
+                assert_eq!(
+                    picked,
+                    flat_pick(plane, class, group, crashed),
+                    "class {class}, group {group}, crashed {crashed:?}"
+                );
+                if !crashed.contains(&true) {
+                    let flat = plane
+                        .placer
+                        .place_class_topo(class, &plane.state, group, &plane.weights)
+                        .unwrap();
+                    assert_eq!(picked, flat, "class {class}, group {group}");
+                }
+            }
+        }
+        rescored
+    }
+
+    /// Plays a seeded script of admits (half of them onto the index's own
+    /// pick), releases, shard crashes and restores, and one region failure
+    /// straight against the plane's index, checking it after every state
+    /// change. Also checks that each update re-scores exactly the distinct
+    /// cores touched on live shards since the last one.
+    fn differential_script(
+        p: &ClusteringPipeline,
+        topo: FleetTopology,
+        slots: usize,
+        shards: usize,
+        weights: TopologyWeights,
+        steps: usize,
+    ) {
+        let placer = OnlinePlacer::new(p).with_threshold(0.01).unwrap();
+        let mut plane =
+            FleetPlane::new(placer, topo, slots, shards, Cycles::new(1.0e6), weights).unwrap();
+        let cores = plane.state.cores();
+        let mut rng = v10_sim::SimRng::seed_from(0xD1FF ^ u64_from_usize(shards));
+        let mut crashed = vec![false; shards];
+        let mut residents: Vec<(usize, usize)> = Vec::new();
+        let mut touched = std::collections::BTreeSet::new();
+        let mut region_failed = false;
+        assert_eq!(check_index(&mut plane, &crashed), u64_from_usize(cores));
+        for _ in 0..steps {
+            let roll = rng.index(100);
+            if roll < 55 {
+                let class = rng.index(plane.classes);
+                let core = if roll.is_multiple_of(2) {
+                    match plane
+                        .query(class, rng.index(plane.groups), &crashed)
+                        .unwrap()
+                    {
+                        Placement::Core(core) => core,
+                        Placement::Reject => continue,
+                    }
+                } else {
+                    rng.index(cores)
+                };
+                if plane.state.free_slots(core).unwrap() == 0 {
+                    continue;
+                }
+                plane.state.admit(core, class).unwrap();
+                plane.invalidate(core).unwrap();
+                touched.insert(core);
+                residents.push((core, class));
+            } else if roll < 85 {
+                if residents.is_empty() {
+                    continue;
+                }
+                let (core, class) = residents.swap_remove(rng.index(residents.len()));
+                plane.state.release(core, class).unwrap();
+                plane.invalidate(core).unwrap();
+                touched.insert(core);
+            } else if roll < 97 {
+                let shard = rng.index(shards);
+                crashed[shard] = !crashed[shard];
+            } else if !region_failed {
+                // One region failure per script keeps most of the fleet
+                // alive for the rest of it.
+                region_failed = true;
+                let group = rng.index(plane.groups);
+                for core in 0..cores {
+                    let topology = plane.state.topology();
+                    if topology.group_of(core).unwrap() != group
+                        || plane.state.is_failed(core).unwrap()
+                    {
+                        continue;
+                    }
+                    plane.state.fail(core).unwrap();
+                    plane.invalidate(core).unwrap();
+                    touched.insert(core);
+                }
+                residents.retain(|&(core, _)| !plane.state.is_failed(core).unwrap());
+            } else {
+                continue;
+            }
+            let live: Vec<usize> = touched
+                .iter()
+                .copied()
+                .filter(|&c| !crashed[plane.shard_map.owner(c).unwrap()])
+                .collect();
+            assert_eq!(
+                check_index(&mut plane, &crashed),
+                u64_from_usize(live.len())
+            );
+            for core in live {
+                touched.remove(&core);
+            }
+        }
+    }
+
+    #[test]
+    fn index_matches_the_flat_scan_through_a_seeded_script() {
+        let p = pipeline();
+        for shards in [1, 2, 4, 8] {
+            let topo = FleetTopology::mesh(8, 8, 4, 64.0).unwrap();
+            let weights = TopologyWeights::new(0.02, 0.01).unwrap();
+            differential_script(&p, topo, 2, shards, weights, 400);
+        }
+    }
+
+    #[test]
+    fn index_matches_the_flat_scan_on_uneven_shard_ranges() {
+        let p = pipeline();
+        // 1000 cores: 125-core ranges at 8 shards, 334/333/333 at 3.
+        for shards in [3, 8] {
+            let topo = FleetTopology::mesh(40, 25, 8, 64.0).unwrap();
+            let weights = TopologyWeights::new(0.02, 0.01).unwrap();
+            differential_script(&p, topo, 4, shards, weights, 120);
+        }
+    }
+
+    #[test]
+    fn index_breaks_ties_to_the_lowest_core_under_zero_weights() {
+        // A flat topology with zero weights: every empty core scores the
+        // same, so only the lowest-index rule separates candidates.
+        let p = pipeline();
+        for shards in [1, 2, 4, 8] {
+            let topo = FleetTopology::flat(37).unwrap();
+            differential_script(&p, topo, 2, shards, TopologyWeights::zero(), 300);
+        }
     }
 
     /// A 4x2 mesh with two column-band HBM groups (group 0 = cores

@@ -3,13 +3,15 @@
 //! A Markov-modulated flash-crowd stream lands on a 40×25 mesh fleet
 //! (1000 cores, 5 HBM-affinity column bands) served through the sharded
 //! [`FleetPlane`]. The same stream is played twice — once with a single
-//! admission worker that rescans the whole fleet on every placement, and
-//! once with four shard workers whose per-(class, HBM-group) candidate
-//! tables confine each rescan to a quarter of the fleet. The two runs must
-//! produce byte-identical cluster reports, decisions, and departure logs
-//! (asserted below); only the wall clock and the rescan counters differ,
-//! which is the whole point: sharding is a work decomposition, not a
-//! semantic knob.
+//! admission worker owning the whole fleet, and once with four shard
+//! workers owning a quarter each. Either way the placement index (a
+//! tournament tree per (class, HBM group) over each worker's cores)
+//! re-scores only the cores an admit or release touched, instead of
+//! rescanning the fleet per arrival. The two runs must produce
+//! byte-identical cluster reports, decisions, and departure logs, and
+//! re-score exactly the same cores (asserted below); only the wall clock
+//! differs. Sharding is a layout and fault-domain boundary, not a semantic
+//! knob and not a lever on placement cost.
 //!
 //! ```sh
 //! cargo run --release --example fleet_scaleout
@@ -121,31 +123,32 @@ fn main() {
         one_report.p99_latency_cycles() / 1.0e6,
     );
 
-    let speedup = if four_wall > 0.0 {
-        one_wall / four_wall
-    } else {
-        0.0
-    };
+    // Placement work does not depend on the shard layout either.
+    assert_eq!(
+        four_outcome.rebuild_core_scans(),
+        one_outcome.rebuild_core_scans()
+    );
+    let cores = MESH_WIDTH * MESH_HEIGHT;
     println!(
-        "\n  1 shard : {:>9} cores rescanned, {:.3} s wall",
+        "\n  1 shard : {:>6} cores re-scored, {:.3} s wall",
         one_outcome.rebuild_core_scans(),
         one_wall
     );
     println!(
-        "  4 shards: {:>9} cores rescanned, {:.3} s wall",
+        "  4 shards: {:>6} cores re-scored, {:.3} s wall",
         four_outcome.rebuild_core_scans(),
         four_wall
     );
     println!(
-        "\nScaling efficiency at 4 shards: {:.2}x speedup = {:.0}% of ideal \
-         ({:.1}x fewer cores rescanned per placement).",
-        speedup,
-        100.0 * speedup / 4.0,
-        one_outcome.rebuild_core_scans() as f64 / four_outcome.rebuild_core_scans().max(1) as f64,
+        "\nThe index was built once over the {cores} cores, then re-scored {:.2} cores \
+         per placement — rescanning the fleet per arrival would have scored {} cores.",
+        (one_outcome.rebuild_core_scans() as f64 - cores as f64)
+            / one_outcome.placed().max(1) as f64,
+        cores * one_outcome.placed(),
     );
     println!(
-        "Sharding confines each admission's candidate-table rebuild to the one \
-         shard the admission dirtied; the decomposed argmax still picks the very \
-         same cores, so the report above is the proof of equivalence."
+        "Each admit or release re-scores the one core it touched and replays that \
+         core's path up its tournament trees; the decomposed argmax still picks the \
+         very same cores as a flat scan, so the report above is the proof of equivalence."
     );
 }

@@ -156,18 +156,28 @@ fn reports_identical_across_shard_and_thread_matrix() {
 }
 
 #[test]
-fn sharding_cuts_rescan_work_without_changing_decisions() {
+fn rescore_work_is_identical_across_shards_and_bounded() {
     let pipeline = fit_pipeline();
     let stream = arrivals();
     let (_, one) = serve(&pipeline, &stream, 1, 1);
-    let (_, eight) = serve(&pipeline, &stream, 8, 1);
-    assert_eq!(one.decisions(), eight.decisions());
-    assert!(
-        eight.rebuild_core_scans() < one.rebuild_core_scans(),
-        "8-shard rebuilds ({}) must scan fewer cores than 1-shard ({})",
-        eight.rebuild_core_scans(),
-        one.rebuild_core_scans()
-    );
+    // The placement index is built once over the fleet, then re-scores
+    // only the cores an admit or a release touched.
+    let bound = CORES + one.placed() + one.departures().len();
+    let scans = usize::try_from(one.rebuild_core_scans()).expect("count fits usize");
+    assert!(scans <= bound, "{scans} re-scores > {bound}");
+    for shards in [2usize, 4, 8] {
+        let (_, outcome) = serve(&pipeline, &stream, shards, 1);
+        assert_eq!(
+            outcome.decisions(),
+            one.decisions(),
+            "decisions diverged at {shards} shards"
+        );
+        assert_eq!(
+            outcome.rebuild_core_scans(),
+            one.rebuild_core_scans(),
+            "re-score work changed at {shards} shards"
+        );
+    }
 }
 
 #[test]
